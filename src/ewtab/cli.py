@@ -243,20 +243,24 @@ def _cmd_convert(args, out):
 
 
 def _perm_representation(diagram, heights):
-    """A decorated word encoding the (possibly unstable) heights: the
-    canonical decomposition when the heights are recurrent, otherwise the
-    first minimal recurrent configuration they dominate."""
-    if sandpile.is_stable(diagram, heights) and sandpile.is_recurrent(
-        diagram, heights
-    ):
-        return permutations.decorated_from_config(diagram, heights)
-    for base in oracles.enumerate_minimal(diagram):
-        if all(b <= h for b, h in zip(base, heights)):
-            word = permutations.word_from_config(diagram, base)
-            return word, tuple(h - b for h, b in zip(heights, base))
-    raise DomainError(
-        "heights do not dominate any minimal recurrent configuration"
-    )
+    """A decorated word encoding the (possibly unstable) heights: a
+    minimal recurrent configuration they dominate plus the surplus. On
+    recurrent heights this is their canonical decomposition.
+
+    Capping every height at deg-1 leaves stable heights as they are and
+    makes the others stable. The heights dominate a minimal recurrent
+    configuration exactly when the capped vector is recurrent (recurrence
+    is closed upwards among stable vectors), and the minimal part of the
+    capped vector is then one.
+    """
+    capped = tuple(min(h, g - 1) for h, g in zip(heights, diagram.degrees))
+    if not sandpile.is_recurrent(diagram, capped):
+        raise DomainError(
+            "heights do not dominate any minimal recurrent configuration"
+        )
+    base = sandpile.minimal_recurrent(diagram, capped)
+    word = permutations.word_from_config(diagram, base)
+    return word, tuple(h - b for h, b in zip(heights, base))
 
 
 def _cmd_stabilize(args, out):

@@ -56,7 +56,8 @@ class FerrersDiagram:
                 x -= 1
                 cols_by_x[x] = nxt
                 nxt += 1
-        assert nxt == self.semiperimeter
+        if nxt != self.semiperimeter:
+            raise RuntimeError("border walk of %r gave %d labels" % (self.parts, nxt))
         return tuple(rows), tuple(cols_by_x[x] for x in range(self.parts[0]))
 
     @property
@@ -108,26 +109,41 @@ class FerrersDiagram:
         """
         return self.is_row(i) and self.is_col(j) and j > i
 
-    def degree(self, v):
-        if v in self._row_index:
-            return self.parts[self._row_index[v]]
-        if v in self._col_index:
-            return self.col_height(self._col_index[v])
+    @cached_property
+    def _neighbors_of(self):
+        # Entry v is the sorted neighbor tuple of vertex v. A row reaches
+        # the first parts[ri] columns, whose labels decrease left to right;
+        # a column reaches the top col_height(x) rows.
+        out = [()] * (self.n + 1)
+        cols = self.col_labels
+        for ri, v in enumerate(self.row_labels):
+            out[v] = tuple(reversed(cols[: self.parts[ri]]))
+        for x, v in enumerate(cols):
+            out[v] = self.row_labels[: self.col_height(x)]
+        return tuple(out)
+
+    @cached_property
+    def _degree_of(self):
+        # Entry v is the degree of vertex v, the sink included.
+        return tuple(len(nbrs) for nbrs in self._neighbors_of)
+
+    def _vertex(self, v):
+        if isinstance(v, int) and 0 <= v <= self.n:
+            return v
         raise DomainError("%r is not a vertex of %r" % (v, self.parts))
+
+    def degree(self, v):
+        return self._degree_of[self._vertex(v)]
 
     @cached_property
     def degrees(self):
         """Degrees of the non-sink vertices, index v-1 for vertex v."""
-        return tuple(self.degree(v) for v in range(1, self.n + 1))
+        return self._degree_of[1:]
 
     def neighbors(self, v):
         """Sorted neighbor labels of v (rows neighbor larger columns and
         columns neighbor smaller rows, the sink included)."""
-        if v in self._row_index:
-            return tuple(sorted(j for j in self.col_labels if j > v))
-        if v in self._col_index:
-            return tuple(i for i in self.row_labels if i < v)
-        raise DomainError("%r is not a vertex of %r" % (v, self.parts))
+        return self._neighbors_of[self._vertex(v)]
 
     @property
     def edge_count(self):
@@ -156,7 +172,8 @@ class FerrersDiagram:
         prev = 1
         for k in range(n - 1):
             pivot = m[k][k]
-            assert pivot != 0, "reduced Laplacian is positive definite"
+            if pivot == 0:
+                raise RuntimeError("reduced Laplacian of %r is singular" % (self.parts,))
             for i in range(k + 1, n):
                 for j in range(k + 1, n):
                     m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
@@ -180,7 +197,8 @@ class FerrersDiagram:
         cols = [v for v in range(n + 1) if v not in set(rows)]
         parts = [sum(1 for c in cols if c > r) for r in rows]
         diagram = cls(parts)
-        assert diagram.row_labels == tuple(rows)
+        if diagram.row_labels != tuple(rows):
+            raise DomainError("rows %r do not label the rows of %r" % (rows, diagram.parts))
         return diagram
 
     def __eq__(self, other):

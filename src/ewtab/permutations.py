@@ -98,22 +98,7 @@ def from_tableau(t):
 def to_tableau(word):
     """Tableau whose entry at (row i, column j) records whether i's block
     precedes j's block. Inverse of from_tableau."""
-    d = shape_of_word(word)
-    blocks = run_blocks(word)
-    pos = {}
-    for k, block in enumerate(blocks):
-        for v in block:
-            pos[v] = k
-    rows = []
-    for i in d.row_labels:
-        row = []
-        for x in range(d.parts[d.row_index(i)]):
-            j = d.col_labels[x]
-            row.append(1 if pos[i] < pos[j] else 0)
-        rows.append(row)
-    t = tableaux.EWTableau(d, rows)
-    tableaux.ensure_valid(t)
-    return t
+    return tableaux.from_blocks(shape_of_word(word), run_blocks(word))
 
 
 def word_from_config(diagram, heights):
@@ -210,7 +195,8 @@ def decorated_from_config(diagram, heights):
     word = word_from_blocks(blocks)
     base = minimal_config(word)
     deco = tuple(h - b for h, b in zip(heights, base))
-    assert all(a >= 0 for a in deco)
+    if any(a < 0 for a in deco):
+        raise RuntimeError("%r lies below its minimal configuration" % (heights,))
     return word, deco
 
 
@@ -254,7 +240,7 @@ class _Blocks:
         for idx, block in enumerate(self.blocks):
             if x in block:
                 return idx
-        raise AssertionError("letter %r lost" % (x,))
+        raise RuntimeError("letter %r lost" % (x,))
 
     def witnesses(self, x):
         """Letters of the previous block that bound x from its own side:
@@ -286,9 +272,11 @@ class _Blocks:
         """Slide an unsettled letter one block towards the front, paying one
         grain to each witness. Preserves the encoded configuration."""
         idx = self.index_of(x)
-        assert idx >= 2, "only letters beyond the first block settle"
+        if idx < 2:
+            raise RuntimeError("only letters beyond the first block settle")
         ws = self.witnesses(x)
-        assert deco[x - 1] >= len(ws)
+        if deco[x - 1] < len(ws):
+            raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, len(ws)))
         deco[x - 1] -= len(ws)
         for w in ws:
             deco[w - 1] += 1
@@ -301,9 +289,11 @@ class _Blocks:
         larger first-ascending-block letters for a descending letter, to the
         sink for an ascending one) and jump to the last block it beats."""
         idx = self.index_of(x)
-        assert idx <= 1, "only first-block letters topple"
+        if idx > 1:
+            raise RuntimeError("only first-block letters topple")
         ws = self.witnesses(x)
-        assert deco[x - 1] >= len(ws)
+        if deco[x - 1] < len(ws):
+            raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, len(ws)))
         deco[x - 1] -= len(ws)
         for w in ws:
             if w != 0:
@@ -363,7 +353,8 @@ def stabilize(word, decorations, trace=False):
 
     while True:
         steps += 1
-        assert steps < cap, "stabilization exceeded its iteration budget"
+        if steps >= cap:
+            raise RuntimeError("stabilization exceeded its iteration budget")
         moved = False
         for x in b.word():
             if b.index_of(x) >= 2 and deco[x - 1] >= b.mu(x):
@@ -390,8 +381,10 @@ def stabilize(word, decorations, trace=False):
             if trace:
                 record("topple", x)
     out = b.word()
-    assert run_blocks(out)[1:] == tuple(tuple(blk) for blk in b.blocks)
-    assert classify_decoration(out, deco) == "canonical"
+    if run_blocks(out)[1:] != tuple(tuple(blk) for blk in b.blocks):
+        raise RuntimeError("stabilized blocks are not the runs of %r" % (out,))
+    if classify_decoration(out, deco) != "canonical":
+        raise RuntimeError("stabilized decoration of %r is not canonical" % (out,))
     if trace:
         return out, tuple(deco), events
     return out, tuple(deco)

@@ -44,20 +44,20 @@ def _check_config(diagram, heights):
 
 def is_stable(diagram, heights):
     heights = _check_config(diagram, heights)
-    return all(heights[v - 1] < diagram.degree(v) for v in range(1, diagram.n + 1))
+    return all(h < g for h, g in zip(heights, diagram.degrees))
 
 
 def topple(diagram, heights, v):
     """Topple vertex v once. v may be the sink (0), which topples
     unconditionally; any other vertex must be unstable."""
     heights = _check_config(diagram, heights)
-    if v != 0:
-        if heights[v - 1] < diagram.degree(v):
-            raise DomainError("vertex %d is stable, cannot topple" % v)
+    nbrs = diagram.neighbors(v)  # raises DomainError for a non-vertex
     new = list(heights)
     if v != 0:
-        new[v - 1] -= diagram.degree(v)
-    for u in diagram.neighbors(v):
+        if heights[v - 1] < diagram.degrees[v - 1]:
+            raise DomainError("vertex %d is stable, cannot topple" % v)
+        new[v - 1] -= diagram.degrees[v - 1]
+    for u in nbrs:
         if u != 0:
             new[u - 1] += 1
     return tuple(new)
@@ -94,6 +94,7 @@ def burning_order(diagram, heights):
     if not is_stable(diagram, heights):
         raise DomainError("burning test needs a stable configuration")
     n = diagram.n
+    degs = diagram.degrees
     work = list(heights)
     for u in diagram.neighbors(0):
         work[u - 1] += 1
@@ -104,10 +105,10 @@ def burning_order(diagram, heights):
     while progress:
         progress = False
         for v in range(1, n + 1):
-            if not burned[v] and work[v - 1] >= diagram.degree(v):
+            if not burned[v] and work[v - 1] >= degs[v - 1]:
                 burned[v] = True
                 order.append(v)
-                work[v - 1] -= diagram.degree(v)
+                work[v - 1] -= degs[v - 1]
                 for u in diagram.neighbors(v):
                     if u != 0:
                         work[u - 1] += 1
@@ -134,6 +135,7 @@ def canonical_toppling(diagram, heights):
     if not is_stable(diagram, heights):
         raise DomainError("canonical toppling needs a stable configuration")
     n = diagram.n
+    degs = diagram.degrees
     work = list(heights)
     for u in diagram.neighbors(0):
         work[u - 1] += 1
@@ -145,19 +147,20 @@ def canonical_toppling(diagram, heights):
         block = [
             v
             for v in range(1, n + 1)
-            if not toppled[v] and work[v - 1] >= diagram.degree(v)
+            if not toppled[v] and work[v - 1] >= degs[v - 1]
         ]
         if not block:
             raise DomainError("configuration is not recurrent: avalanche stalls")
         for v in block:
             toppled[v] = True
-            work[v - 1] -= diagram.degree(v)
+            work[v - 1] -= degs[v - 1]
             for u in diagram.neighbors(v):
                 if u != 0:
                     work[u - 1] += 1
         blocks.append(tuple(block))
         done += len(block)
-    assert tuple(work) == heights, "avalanche must return to the start"
+    if tuple(work) != heights:
+        raise RuntimeError("avalanche of %r did not return to the start" % (heights,))
     return tuple(blocks)
 
 

@@ -22,6 +22,7 @@ __all__ = [
     "validate",
     "ensure_valid",
     "minimal_config",
+    "from_blocks",
     "from_minimal_config",
     "canonical_toppling",
     "supplementary",
@@ -33,9 +34,6 @@ __all__ = [
     "decorated_from_config",
     "config_from_decorated",
 ]
-
-ABSENT = None  # sentinel for grid positions outside the shape
-
 
 class EWTableau:
     """A 0/1 filling of a Ferrers shape.
@@ -71,14 +69,6 @@ class EWTableau:
             raise DomainError("no cell at row %d, column %d" % (i, j))
         return self.rows[ri][x]
 
-    def grid(self):
-        """Dense |rows| x |cols| grid with ABSENT outside the shape."""
-        width = self.diagram.parts[0]
-        return [
-            [row[x] if x < len(row) else ABSENT for x in range(width)]
-            for row in self.rows
-        ]
-
     def row_strings(self):
         return tuple("".join(str(b) for b in row) for row in self.rows)
 
@@ -113,9 +103,17 @@ def validate(t):
     for i in range(1, len(rows)):
         if 0 not in rows[i]:
             problems.append({"rule": "row-has-zero", "row": i})
+    masks = [_mask(row) for row in rows]
     for i in range(len(rows)):
         for i2 in range(i + 1, len(rows)):
             width = len(rows[i2])  # the lower row is never longer
+            upper = masks[i] & ((1 << width) - 1)
+            lower = masks[i2]
+            # A bad rectangle pairs a column where only row i has a 1 with
+            # one where only row i2 does, so it exists exactly when neither
+            # row's 1-set contains the other's; only such pairs are scanned.
+            if not (upper & ~lower and lower & ~upper):
+                continue
             for x in range(width):
                 for x2 in range(x + 1, width):
                     a, b = rows[i][x], rows[i][x2]
@@ -148,31 +146,31 @@ def minimal_config(t):
             continue
         out[label - 1] = sum(t.rows[i])
     for x, label in enumerate(d.col_labels):
-        height = d.col_height(x)
+        height = d.degrees[label - 1]
         ones = sum(t.rows[i][x] for i in range(height))
         out[label - 1] = height - ones
     return tuple(out)
 
 
+def from_blocks(diagram, blocks):
+    """The EW-tableau of an ordered partition of the labels: cell (i, j) is
+    1 exactly when row i's block precedes column j's block. Raises
+    DomainError when the filling breaks an EW condition."""
+    pos = {v: k for k, block in enumerate(blocks) for v in block}
+    cols = diagram.col_labels
+    rows = [
+        [1 if pos[i] < pos[j] else 0 for j in cols[:p]]
+        for i, p in zip(diagram.row_labels, diagram.parts)
+    ]
+    return ensure_valid(EWTableau(diagram, rows))
+
+
 def from_minimal_config(diagram, heights):
     """Inverse of minimal_config; the input must be a minimal recurrent
     configuration (it is checked to reproduce itself)."""
-    if sandpile.minimal_recurrent(diagram, heights) != tuple(heights):
+    t = from_blocks(diagram, sandpile.canonical_toppling(diagram, heights))
+    if minimal_config(t) != tuple(heights):
         raise DomainError("configuration is not minimal recurrent")
-    blocks = sandpile.canonical_toppling(diagram, heights)
-    pos = {}
-    for k, block in enumerate(blocks):
-        for v in block:
-            pos[v] = k
-    rows = []
-    for i in diagram.row_labels:
-        row = []
-        for x in range(diagram.parts[diagram.row_index(i)]):
-            j = diagram.col_labels[x]
-            row.append(1 if pos[i] < pos[j] else 0)
-        rows.append(row)
-    t = EWTableau(diagram, rows)
-    ensure_valid(t)
     return t
 
 
@@ -293,19 +291,50 @@ def supplementary_entry(t, i, j):
     return 1
 
 
-def _supplementary_lookup(t, s):
-    """entry accessor over the full grid; s may be None to force the local
-    rule for out-of-shape positions."""
+def _mask(bits):
+    """Int with bit x set exactly where bits[x] is 1."""
+    return sum(1 << x for x, b in enumerate(bits) if b)
+
+
+def _bits(mask):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _corner_masks(t):
+    """(row masks, witnessed masks) per row position, bit x for column
+    position x: the tableau's 1s, and its cells in corner support.
+
+    A cell (i, j) holding 1 is witnessed by a row i2 with a 1 at j and a
+    column j2 where row i has 1 and row i2 has 0; a cell holding 0 by a row
+    i2 with a 0 at j and a column j2 where row i2 has 1 and row i has 0.
+    Such a j2 differs from j by construction, so with one 1-mask per row
+    of the supplementary grid each ordered row pair costs a few word
+    operations. The pair of a row with itself, or with an identical row,
+    witnesses nothing.
+    """
     d = t.diagram
-
-    def look(i, j):
-        if j > i:
-            return t.entry(i, j)
-        if s is not None:
-            return s.entry(i, j)
-        return supplementary_entry(t, i, j)
-
-    return look
+    rows = [_mask(row) for row in t.rows]
+    shape = [(1 << p) - 1 for p in d.parts]
+    full = shape[0]
+    # Cells of the shape read the tableau, the rest the grid built from
+    # the avalanche; on an EW-tableau the grid restricts to the tableau.
+    grid = supplementary(t).grid
+    ones = [r | (_mask(g) & ~m) for r, g, m in zip(rows, grid, shape)]
+    witnessed = []
+    for a, m in zip(ones, shape):
+        zeros = full & ~a
+        w = 0
+        for b in ones:
+            if a & ~b:
+                w |= a & b
+            if b & ~a:
+                w |= zeros & ~b
+        witnessed.append(w & m)
+    return rows, witnessed
 
 
 def corner_support(t, method="blocks"):
@@ -314,38 +343,23 @@ def corner_support(t, method="blocks"):
     two remaining corners matching the cell's value). Returns the set of
     (row label, column label) pairs.
 
-    method="blocks" scans the full supplementary grid built from the
-    canonical toppling; method="local" uses only tableau entries plus the
-    local rule of supplementary_entry, never toppling anything. The two
-    agree.
+    method="blocks" compares whole rows of the supplementary grid built
+    from the canonical toppling, as bitmasks; method="local" uses only
+    tableau entries plus the local rule of supplementary_entry, never
+    toppling anything. The two agree.
     """
     d = t.diagram
-    cells = [(i, j) for i in d.row_labels for j in d.col_labels if j > i]
-    out = set()
     if method == "blocks":
-        s = supplementary(t)
-        look = _supplementary_lookup(t, s)
-        for i, j in cells:
-            x = t.entry(i, j)
-            found = False
-            for i2 in d.row_labels:
-                if i2 == i:
-                    continue
-                if look(i2, j) != x:
-                    continue
-                for j2 in d.col_labels:
-                    if j2 == j:
-                        continue
-                    if look(i2, j2) == 1 - x and look(i, j2) == x:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                out.add((i, j))
-        return out
+        _, witnessed = _corner_masks(t)
+        return {
+            (i, d.col_labels[x])
+            for i, w in zip(d.row_labels, witnessed)
+            for x in _bits(w)
+        }
     if method != "local":
         raise ValueError("method must be 'blocks' or 'local'")
+    cells = [(i, j) for i in d.row_labels for j in d.col_labels if j > i]
+    out = set()
     for i, j in cells:
         x = t.entry(i, j)
         found = False
@@ -393,23 +407,16 @@ def canonical_bounds(t):
     for a row, its count of 0s not in corner_support; for a column, its
     count of 1s not in corner_support. Entry v-1 for vertex v."""
     d = t.diagram
-    mask = corner_support(t)
+    rows, witnessed = _corner_masks(t)
     out = [0] * d.n
-    for i in d.row_labels:
-        if i == 0:
-            continue
-        ri = d.row_index(i)
-        out[i - 1] = sum(
-            1
-            for x in range(d.parts[ri])
-            if t.rows[ri][x] == 0 and (i, d.col_labels[x]) not in mask
-        )
-    for x, j in enumerate(d.col_labels):
-        out[j - 1] = sum(
-            1
-            for ri in range(d.col_height(x))
-            if t.rows[ri][x] == 1 and (d.row_labels[ri], j) not in mask
-        )
+    unwitnessed_ones = [0] * d.parts[0]
+    for i, r, w, p in zip(d.row_labels, rows, witnessed, d.parts):
+        if i:
+            out[i - 1] = (((1 << p) - 1) & ~r & ~w).bit_count()
+        for x in _bits(r & ~w):
+            unwitnessed_ones[x] += 1
+    for j, count in zip(d.col_labels, unwitnessed_ones):
+        out[j - 1] = count
     return tuple(out)
 
 
@@ -424,7 +431,7 @@ def stable_bounds(t):
         ri = d.row_index(i)
         out[i - 1] = d.parts[ri] - sum(t.rows[ri])
     for x, j in enumerate(d.col_labels):
-        out[j - 1] = sum(t.rows[ri][x] for ri in range(d.col_height(x)))
+        out[j - 1] = sum(t.rows[ri][x] for ri in range(d.degrees[j - 1]))
     return tuple(out)
 
 
@@ -448,9 +455,11 @@ def classify_decoration(t, decorations):
 
 def decorated_from_config(diagram, heights):
     """Encode a recurrent configuration as (tableau, decorations): the
-    tableau of its minimal recurrent part plus the grain surplus."""
-    base = sandpile.minimal_recurrent(diagram, heights)
-    t = from_minimal_config(diagram, base)
+    tableau of its minimal recurrent part plus the grain surplus. The
+    minimal part shares the avalanche of the heights, so one avalanche
+    gives the tableau and the tableau gives the minimal part."""
+    t = from_blocks(diagram, sandpile.canonical_toppling(diagram, heights))
+    base = minimal_config(t)
     deco = tuple(h - b for h, b in zip(heights, base))
     return t, deco
 

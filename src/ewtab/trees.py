@@ -100,7 +100,8 @@ def perm_to_tree(word, decorations):
         for x in blocks[k]:
             parents[x] = prev[decorations[x - 1]]
     parents = tuple(parents)
-    assert is_intransitive(parents)
+    if not is_intransitive(parents):
+        raise RuntimeError("tree built from %r is not intransitive" % (word,))
     return parents
 
 
@@ -118,7 +119,8 @@ def tree_to_perm(parents):
         for x in levels[k]:
             deco[x - 1] = rank[parents[x]]
     deco = tuple(deco)
-    assert permutations.classify_decoration(word, deco) == "canonical"
+    if permutations.classify_decoration(word, deco) != "canonical":
+        raise RuntimeError("decoration read off the tree is not canonical")
     return word, deco
 
 

@@ -132,6 +132,19 @@ def test_stabilize_routes_agree(capsys):
         assert line_g == line_p
 
 
+def test_stabilize_perm_route_beyond_oracle_budget(capsys):
+    # 6^6 stable configurations on 11 vertices: far past any enumeration
+    argv = ["stabilize", "--shape", "6,6,6,6,6,6",
+            "--heights", "9,0,7,1,6,2,5,3,4,8,6"]
+    code_g, out_g, _ = run(capsys, *argv, "--via", "graph")
+    code_p, out_p, err_p = run(capsys, *argv, "--via", "perm")
+    assert code_g == 0
+    assert code_p == 0, err_p
+    line_g = [l for l in out_g.splitlines() if l.startswith("heights:")]
+    line_p = [l for l in out_p.splitlines() if l.startswith("heights:")]
+    assert line_g == line_p and line_g
+
+
 def test_enumerate_recurrent(capsys):
     code, out, err = run(capsys, "enumerate", "--shape", "3,2,1", "--kind",
                          "recurrent")

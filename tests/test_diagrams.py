@@ -58,6 +58,27 @@ def test_degree_counts_match_cells():
             assert sum(d.degrees) + d.degree(0) == 2 * d.edge_count
 
 
+def test_adjacency_is_lazy_and_follows_cells():
+    d = FerrersDiagram((4, 4, 3, 1))
+    assert "_degree_of" not in vars(d) and "_neighbors_of" not in vars(d)
+    for m in range(2, 8):
+        for d in enumerate_diagrams(m):
+            for v in range(d.n + 1):
+                nbrs = tuple(u for u in range(d.n + 1)
+                             if d.cell_exists(v, u) or d.cell_exists(u, v))
+                assert d.neighbors(v) == nbrs
+                assert d.degree(v) == len(nbrs)
+
+
+@pytest.mark.parametrize("v", [-1, 9, "1", None, 1.5])
+def test_non_vertices_raise(v):
+    d = FerrersDiagram((5, 3, 3, 2))
+    with pytest.raises(DomainError):
+        d.degree(v)
+    with pytest.raises(DomainError):
+        d.neighbors(v)
+
+
 def test_edges_listing():
     d = FerrersDiagram((2, 2))
     assert sorted(d.edges()) == [(0, 2), (0, 3), (1, 2), (1, 3)]

@@ -1,17 +1,72 @@
 """Tableaux: EW conditions, minimal configurations, supplementary grid,
 cornersupport, decorations, and the configuration correspondence."""
 
+import random
+
 import pytest
 
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
 from ewtab.errors import DomainError
-from ewtab import oracles, sandpile, tableaux
+from ewtab import oracles, permutations, sandpile, tableaux
 from ewtab.tableaux import EWTableau
 
 
 def tab(parts, *rows):
     d = FerrersDiagram(parts)
     return EWTableau(d, tuple(tuple(int(c) for c in r) for r in rows))
+
+
+def staircase(k):
+    return FerrersDiagram(range(k, 0, -1))
+
+
+def recurrent_configs(d, seed, count):
+    """Seeded recurrent configurations: the maximal stable one plus a
+    random number of grains, stabilized."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        h = [g - 1 for g in d.degrees]
+        for _ in range(rng.randint(1, 2 * d.n)):
+            h[rng.randrange(d.n)] += 1
+        out.append(sandpile.stabilize(d, h)[0])
+    return out
+
+
+def reference_corner_support(t):
+    """Literal four-corner scan of the supplementary grid: cell (i, j) is
+    in support when some (i2, j2) has the complementary value while (i2, j)
+    and (i, j2) carry the cell's own value."""
+    d = t.diagram
+    s = tableaux.supplementary(t)
+    out = set()
+    for i in d.row_labels:
+        for j in d.col_labels:
+            if j < i:
+                continue
+            x = t.entry(i, j)
+            if any(
+                s.entry(i2, j) == x and s.entry(i2, j2) == 1 - x
+                and s.entry(i, j2) == x
+                for i2 in d.row_labels if i2 != i
+                for j2 in d.col_labels if j2 != j
+            ):
+                out.add((i, j))
+    return out
+
+
+def reference_rectangles(t):
+    """The rectangle entries of validate, by the literal scan of every
+    pair of rows and every pair of columns."""
+    rows = t.rows
+    return [
+        {"rule": "rectangle", "rows": (i, i2), "cols": (x, x2)}
+        for i in range(len(rows))
+        for i2 in range(i + 1, len(rows))
+        for x in range(len(rows[i2]))
+        for x2 in range(x + 1, len(rows[i2]))
+        if rows[i][x] == rows[i2][x2] != rows[i][x2] == rows[i2][x]
+    ]
 
 
 @pytest.fixture
@@ -57,6 +112,26 @@ def test_validate_rectangle():
 
 def validate_rules(t):
     return {p["rule"] for p in tableaux.validate(t)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_matches_literal_scan_on_random_fillings(seed):
+    rng = random.Random(seed)
+    clashing = 0
+    for _ in range(300):
+        k = rng.randint(1, 9)
+        parts = sorted((rng.randint(1, 9) for _ in range(k)), reverse=True)
+        d = FerrersDiagram(parts)
+        density = rng.random()
+        rows = [[int(rng.random() < density) for _ in range(p)] for p in parts]
+        if rng.random() < 0.5:
+            rows[0] = [1] * parts[0]
+        t = EWTableau(d, rows)
+        expected = reference_rectangles(t)
+        assert [p for p in tableaux.validate(t) if p["rule"] == "rectangle"] == (
+            expected)
+        clashing += bool(expected)
+    assert 0 < clashing < 300
 
 
 def test_ensure_valid_passes_and_raises(t_ex):
@@ -230,8 +305,30 @@ def test_corner_support_methods_agree():
     for m in range(2, 8):
         for d in enumerate_diagrams(m):
             for t in oracles.enumerate_tableaux(d):
-                assert tableaux.corner_support(t, method="blocks") == (
-                    tableaux.corner_support(t, method="local"))
+                blocks = tableaux.corner_support(t, method="blocks")
+                assert blocks == tableaux.corner_support(t, method="local")
+                assert blocks == reference_corner_support(t)
+
+
+@pytest.mark.parametrize("d", [staircase(12), FerrersDiagram((8,) * 8)],
+                         ids=["staircase-12", "rectangle-8x8"])
+def test_corner_support_matches_literal_scan_beyond_enumeration(d):
+    for c in recurrent_configs(d, seed=len(d.parts), count=12):
+        t, _ = tableaux.decorated_from_config(d, c)
+        assert tableaux.corner_support(t, method="blocks") == (
+            reference_corner_support(t))
+
+
+@pytest.mark.parametrize("d", [staircase(16), staircase(32),
+                               FerrersDiagram((20,) * 20)],
+                         ids=["staircase-16", "staircase-32", "rectangle-20x20"])
+def test_canonical_bounds_three_carriers_beyond_enumeration(d):
+    for c in recurrent_configs(d, seed=d.n, count=8):
+        t, deco = tableaux.decorated_from_config(d, c)
+        nu = tableaux.canonical_bounds(t)
+        assert nu == sandpile.canonical_bounds(d, c)
+        assert nu == permutations.canonical_bounds(permutations.from_tableau(t))
+        assert all(a < b for a, b in zip(deco, nu))
 
 
 def test_corner_support_rejects_unknown_method(t_ex):
