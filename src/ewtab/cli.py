@@ -146,99 +146,58 @@ def _cmd_graph(args, out):
     return 0
 
 
-def _parse_convert_input(args, data):
+def _decorated_word(args, data):
+    """Parse the input and return its canonically decorated word. Input
+    that encodes no recurrent configuration raises DomainError: a config
+    that is not recurrent, a tableau that is not EW, a tree that is not
+    intransitive, or a decoration that is not canonical."""
     if args.src == "config":
         context = serialize.parse_shape(args.shape) if args.shape else None
         d, heights = serialize.parse_config(data, context)
-        return "config", (d, heights)
+        return permutations.decorated_from_config(d, heights)
+    if args.src == "tree":
+        return trees.tree_to_perm(serialize.parse_tree(data))
     if args.src == "tableau":
         t, deco = serialize.parse_tableau(data)
-        return "tableau", (t, deco)
-    if args.src == "perm":
+        word = permutations.from_tableau(tableaux.ensure_valid(t))
+        if deco is None:
+            deco = (0,) * len(word)
+    else:
         word, deco = serialize.parse_perm(data)
-        return "perm", (word, deco)
-    return "tree", serialize.parse_tree(data)
-
-
-def _as_perm(kind, value):
-    """Normalize any representation to (word, decorations)."""
-    if kind == "config":
-        d, heights = value
-        return permutations.decorated_from_config(d, heights)
-    if kind == "tableau":
-        t, deco = value
-        word = permutations.from_tableau(t)
-        return word, deco if deco is not None else (0,) * len(word)
-    if kind == "perm":
-        word, deco = value
-        permutations.run_blocks(word)  # validates the word
-        return word, deco
-    return trees.tree_to_perm(value)
+    kind = permutations.classify_decoration(word, deco)
+    if kind != "canonical":
+        raise DomainError("decoration is %s, not canonical" % kind)
+    return word, deco
 
 
 def _cmd_convert(args, out):
+    if args.dst != "tree":
+        _need_text_or_json(args)
     data = args.data if args.data is not None else sys.stdin.read()
     if not data.strip():
         raise FormatError("no input data")
-    kind, value = _parse_convert_input(args, data)
-    if args.format == "dot" and args.dst != "tree":
-        raise FormatError("dot output is only available for tree output")
+    word, deco = _decorated_word(args, data)
+    show = deco if any(deco) else None
 
     if args.dst == "config":
-        if kind == "config":
-            d, heights = value
-        elif kind == "tableau":
-            t, deco = value
-            d = t.diagram
-            heights = tableaux.config_from_decorated(
-                t, deco if deco is not None else (0,) * d.n
-            )
-        else:
-            word, deco = _as_perm(kind, value)
-            d, heights = permutations.config_from_decorated(word, deco)
-        if args.format == "json":
-            out.write(json.dumps(serialize.config_to_json(d, heights)) + "\n")
-        else:
-            out.write(serialize.config_to_text(heights) + "\n")
-        return 0
-
-    if args.dst == "tableau":
-        if kind == "tableau":
-            t, deco = value
-        elif kind == "config":
-            d, heights = value
-            t, deco = tableaux.decorated_from_config(d, heights)
-        else:
-            word, deco = _as_perm(kind, value)
-            t = permutations.to_tableau(word)
-        show = deco if deco is not None and any(deco) else None
-        if args.format == "json":
-            out.write(json.dumps(serialize.tableau_to_json(t, show)) + "\n")
-        else:
-            out.write(serialize.tableau_to_text(t, show) + "\n")
-        return 0
-
-    if args.dst == "perm":
-        word, deco = _as_perm(kind, value)
-        show = deco if any(deco) else None
-        if args.format == "json":
-            out.write(json.dumps(serialize.perm_to_json(word, show)) + "\n")
-        else:
-            out.write(serialize.perm_to_text(word, show) + "\n")
-        return 0
-
-    if kind == "tree":
-        parents = value
-        trees.check_tree(parents)
+        d, heights = permutations.config_from_decorated(word, deco)
+        text = serialize.config_to_text(heights)
+        obj = serialize.config_to_json(d, heights)
+    elif args.dst == "tableau":
+        t = permutations.to_tableau(word)
+        text = serialize.tableau_to_text(t, show)
+        obj = serialize.tableau_to_json(t, show)
+    elif args.dst == "perm":
+        text = serialize.perm_to_text(word, show)
+        obj = serialize.perm_to_json(word, show)
     else:
-        word, deco = _as_perm(kind, value)
         parents = trees.perm_to_tree(word, deco)
-    if args.format == "dot":
-        out.write(trees.to_dot(parents))
-    elif args.format == "json":
-        out.write(json.dumps(serialize.tree_to_json(parents)) + "\n")
-    else:
-        out.write(serialize.tree_to_text(parents) + "\n")
+        if args.format == "dot":
+            out.write(trees.to_dot(parents))
+            return 0
+        text = serialize.tree_to_text(parents)
+        obj = serialize.tree_to_json(parents)
+    out.write((json.dumps(obj) if args.format == "json" else text) + "\n")
     return 0
 
 
@@ -251,16 +210,21 @@ def _perm_representation(diagram, heights):
     makes the others stable. The heights dominate a minimal recurrent
     configuration exactly when the capped vector is recurrent (recurrence
     is closed upwards among stable vectors), and the minimal part of the
-    capped vector is then one.
+    capped vector is then one. One avalanche of the capped vector gives
+    both its word and its surplus over that minimal part.
     """
+    heights = sandpile.check_counts(heights, diagram.n, "heights")
     capped = tuple(min(h, g - 1) for h, g in zip(heights, diagram.degrees))
-    if not sandpile.is_recurrent(diagram, capped):
+    try:
+        blocks, surplus = sandpile.decompose(diagram, capped)
+    except DomainError:
+        # capped is a stable configuration, so only a stalled avalanche
+        # lands here
         raise DomainError(
             "heights do not dominate any minimal recurrent configuration"
-        )
-    base = sandpile.minimal_recurrent(diagram, capped)
-    word = permutations.word_from_config(diagram, base)
-    return word, tuple(h - b for h, b in zip(heights, base))
+        ) from None
+    word = permutations.word_from_blocks(blocks)
+    return word, tuple(a + h - c for a, h, c in zip(surplus, heights, capped))
 
 
 def _cmd_stabilize(args, out):

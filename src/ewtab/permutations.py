@@ -7,7 +7,7 @@ graph whose rows are {0} plus the descent bottoms of the word. Ascending
 blocks hold column vertices, descending blocks hold row vertices.
 
 The module converts both ways between words, tableaux and configurations,
-computes the same decoration bounds as the tableau side, and implements
+feeds the run blocks to the block core for the bounds, and implements
 grain stabilization directly on decorated words: a letter with too large a
 decoration either settles (slides one block towards the front, handing one
 grain to each witness that made its bound) or, from the first block, topples
@@ -106,98 +106,38 @@ def word_from_config(diagram, heights):
     return word_from_blocks(sandpile.canonical_toppling(diagram, heights))
 
 
-def _split(blocks):
-    """(ascending_blocks, descending_blocks) without the sink block."""
-    asc = [blocks[k] for k in range(1, len(blocks), 2)]
-    desc = [blocks[k] for k in range(2, len(blocks), 2)]
-    return asc, desc
-
-
 def minimal_config(word):
     """Minimal recurrent configuration with this avalanche order: a letter
-    in an ascending block counts the smaller letters of the descending
-    blocks from its own index on; a letter in a descending block counts the
-    larger letters of the strictly later ascending blocks."""
-    word = _check_word(word)
-    asc, desc = _split(run_blocks(word))
-    out = [0] * len(word)
-    for k, block in enumerate(asc):
-        for v in block:
-            out[v - 1] = sum(1 for b in desc[k:] for j in b if j < v)
-    for k, block in enumerate(desc):
-        for v in block:
-            out[v - 1] = sum(1 for b in asc[k + 1 :] for j in b if j > v)
-    return tuple(out)
+    holds its neighbors in the later blocks (smaller letters of the later
+    descending blocks for an ascending letter, larger letters of the later
+    ascending blocks for a descending one)."""
+    return sandpile.minimal_from_blocks(run_blocks(word))
 
 
 def canonical_bounds(word):
-    """Per-letter count of witnesses in the previous block: smaller letters
-    of the previous descending block (the sink for the first block) for an
-    ascending letter, larger letters of its own-index ascending block for a
-    descending letter. Decorations strictly below these bounds are exactly
-    the ones that keep the avalanche order."""
-    word = _check_word(word)
-    asc, desc = _split(run_blocks(word))
-    out = [0] * len(word)
-    for k, block in enumerate(asc):
-        for v in block:
-            out[v - 1] = 1 if k == 0 else sum(1 for j in desc[k - 1] if j < v)
-    for k, block in enumerate(desc):
-        for v in block:
-            out[v - 1] = sum(1 for j in asc[k] if j > v)
-    return tuple(out)
+    """Per-letter count of neighbors in the previous block (the sink for the
+    first block). Decorations strictly below these bounds are exactly the
+    ones that keep the avalanche order."""
+    return sandpile.canonical_bounds_from_blocks(run_blocks(word))
 
 
 def stable_bounds(word):
-    """Per-letter count of witnesses up to its own block: smaller letters of
-    the earlier descending blocks plus the sink for an ascending letter,
-    larger letters of the ascending blocks up to its index for a descending
-    letter. These bounds plus the minimal configuration give the degrees."""
-    word = _check_word(word)
-    asc, desc = _split(run_blocks(word))
-    out = [0] * len(word)
-    for k, block in enumerate(asc):
-        for v in block:
-            out[v - 1] = 1 + sum(1 for b in desc[:k] for j in b if j < v)
-    for k, block in enumerate(desc):
-        for v in block:
-            out[v - 1] = sum(1 for b in asc[: k + 1] for j in b if j > v)
-    return tuple(out)
-
-
-def _check_decorations(word, decorations):
-    decorations = tuple(int(a) for a in decorations)
-    if len(decorations) != len(word):
-        raise DomainError(
-            "expected %d decorations, got %d" % (len(word), len(decorations))
-        )
-    if any(a < 0 for a in decorations):
-        raise DomainError("decorations must be non-negative")
-    return decorations
+    """Per-letter count of neighbors up to its own block; these bounds plus
+    the minimal configuration give the degrees."""
+    return sandpile.stable_bounds_from_blocks(run_blocks(word))
 
 
 def classify_decoration(word, decorations):
     """'canonical' below the canonical bounds everywhere, 'stable' below the
     stable bounds only, 'invalid' otherwise."""
-    word = _check_word(word)
-    decorations = _check_decorations(word, decorations)
-    if all(a < b for a, b in zip(decorations, canonical_bounds(word))):
-        return "canonical"
-    if all(a < b for a, b in zip(decorations, stable_bounds(word))):
-        return "stable"
-    return "invalid"
+    return sandpile.classify_decoration(run_blocks(word), decorations)
 
 
 def decorated_from_config(diagram, heights):
     """Encode a recurrent configuration as (word, decorations): the word of
     its avalanche plus the surplus over the minimal configuration."""
-    blocks = sandpile.canonical_toppling(diagram, heights)
-    word = word_from_blocks(blocks)
-    base = minimal_config(word)
-    deco = tuple(h - b for h, b in zip(heights, base))
-    if any(a < 0 for a in deco):
-        raise RuntimeError("%r lies below its minimal configuration" % (heights,))
-    return word, deco
+    blocks, deco = sandpile.decompose(diagram, heights)
+    return word_from_blocks(blocks), deco
 
 
 def config_from_decorated(word, decorations):
@@ -207,11 +147,10 @@ def config_from_decorated(word, decorations):
     still map to configurations (possibly unstable) and are what the
     stabilizer works on."""
     word = _check_word(word)
-    decorations = _check_decorations(word, decorations)
-    diagram = shape_of_word(word)
+    decorations = sandpile.check_counts(decorations, len(word), "decorations")
     base = minimal_config(word)
     heights = tuple(b + a for b, a in zip(base, decorations))
-    return diagram, heights
+    return shape_of_word(word), heights
 
 
 class _Blocks:
@@ -335,7 +274,7 @@ def stabilize(word, decorations, trace=False):
     settle or topple.
     """
     word = _check_word(word)
-    deco = list(_check_decorations(word, decorations))
+    deco = list(sandpile.check_counts(decorations, len(word), "decorations"))
     b = _Blocks.from_word(word)
     events = []
     cap = 10_000 + 40 * (len(word) + 2) ** 3 * (sum(deco) + len(word) + 2)

@@ -28,18 +28,27 @@ __all__ = [
     "level",
     "minimal_recurrent",
     "canonical_bounds",
+    "check_counts",
+    "minimal_from_blocks",
+    "canonical_bounds_from_blocks",
+    "stable_bounds_from_blocks",
+    "classify_decoration",
+    "decompose",
 ]
 
 
+def check_counts(values, n, what):
+    """values as a tuple of n non-negative ints; DomainError otherwise."""
+    values = tuple(int(x) for x in values)
+    if len(values) != n:
+        raise DomainError("expected %d %s, got %d" % (n, what, len(values)))
+    if any(x < 0 for x in values):
+        raise DomainError("%s must be non-negative: %r" % (what, values))
+    return values
+
+
 def _check_config(diagram, heights):
-    heights = tuple(int(h) for h in heights)
-    if len(heights) != diagram.n:
-        raise DomainError(
-            "expected %d heights for %r, got %d" % (diagram.n, diagram.parts, len(heights))
-        )
-    if any(h < 0 for h in heights):
-        raise DomainError("heights must be non-negative: %r" % (heights,))
-    return heights
+    return check_counts(heights, diagram.n, "heights")
 
 
 def is_stable(diagram, heights):
@@ -171,59 +180,97 @@ def level(diagram, heights):
     return sum(heights) + diagram.degree(0) - diagram.edge_count
 
 
-def _side_blocks(diagram, blocks):
-    """Split canonical blocks into (col_blocks, row_blocks), keeping order.
-
-    col_blocks[k] is the k-th block of column-side vertices (1-indexed in the
-    math, 0-indexed here); row_blocks likewise, with the sink block dropped.
-    """
-    col_blocks = []
-    row_blocks = []
-    for b in blocks[1:]:
-        if diagram.is_col(b[0]):
-            col_blocks.append(b)
-        else:
-            row_blocks.append(b)
-    return col_blocks, row_blocks
-
-
 def minimal_recurrent(diagram, heights):
     """The least recurrent configuration sharing the canonical toppling of
     `heights`. Idempotent: minimal inputs come back unchanged."""
-    blocks = canonical_toppling(diagram, heights)
-    return _config_from_blocks(diagram, blocks)
-
-
-def _config_from_blocks(diagram, blocks):
-    col_blocks, row_blocks = _side_blocks(diagram, blocks)
-    out = [0] * diagram.n
-    for bi, block in enumerate(row_blocks):
-        for v in block:
-            # columns toppling after v's block, larger than v
-            out[v - 1] = sum(
-                1 for later in col_blocks[bi + 1 :] for u in later if u > v
-            )
-    for bi, block in enumerate(col_blocks):
-        for v in block:
-            # rows toppling in v's round or later, smaller than v
-            out[v - 1] = sum(
-                1 for blk in row_blocks[bi:] for u in blk if u < v
-            )
-    return tuple(out)
+    return minimal_from_blocks(canonical_toppling(diagram, heights))
 
 
 def canonical_bounds(diagram, heights):
     """For each vertex, its number of neighbors in the immediately preceding
     canonical block. Decorations strictly below these bounds are exactly the
     ones that leave the canonical toppling unchanged."""
-    blocks = canonical_toppling(diagram, heights)
-    col_blocks, row_blocks = _side_blocks(diagram, blocks)
-    out = [0] * diagram.n
-    for bi, block in enumerate(row_blocks):
-        for v in block:
-            out[v - 1] = sum(1 for u in col_blocks[bi] if u > v)
-    for bi, block in enumerate(col_blocks):
-        prev = (0,) if bi == 0 else row_blocks[bi - 1]
-        for v in block:
-            out[v - 1] = sum(1 for u in prev if u < v)
+    return canonical_bounds_from_blocks(canonical_toppling(diagram, heights))
+
+
+# The block core, shared by every encoding: functions of the canonical blocks
+# alone. Blocks at odd positions hold columns and blocks at even positions
+# hold rows (the sink block (0,) is a row block), so no diagram is needed: a
+# column's neighbors are the smaller row labels, a row's the larger columns.
+
+
+def _mask(labels):
+    return sum(1 << v for v in labels)
+
+
+def _neighbors_in(mask, v, column):
+    """How many labels of mask are neighbors of v: the smaller ones for a
+    column vertex, the larger ones for a row vertex."""
+    if column:
+        return (mask & ((1 << v) - 1)).bit_count()
+    return (mask >> v).bit_count()
+
+
+def _neighbors_seen(blocks, order):
+    """Per vertex, its neighbors in the blocks visited before its own when
+    the blocks are visited in the given order of positions."""
+    out = [0] * (sum(len(b) for b in blocks) - 1)
+    seen = [0, 0]  # labels of the visited row blocks, column blocks
+    for k in order:
+        column = k % 2
+        for v in blocks[k]:
+            if v:
+                out[v - 1] = _neighbors_in(seen[1 - column], v, column)
+        seen[column] |= _mask(blocks[k])
     return tuple(out)
+
+
+def minimal_from_blocks(blocks):
+    """The minimal recurrent configuration with these canonical blocks: each
+    vertex holds as many grains as it has neighbors in the later blocks,
+    so that it becomes unstable just as its last earlier neighbor topples."""
+    return _neighbors_seen(blocks, range(len(blocks) - 1, -1, -1))
+
+
+def stable_bounds_from_blocks(blocks):
+    """Degree minus minimal height, per vertex: its neighbors in the earlier
+    blocks. Decorations strictly below these bounds keep the configuration
+    stable."""
+    return _neighbors_seen(blocks, range(len(blocks)))
+
+
+def canonical_bounds_from_blocks(blocks):
+    """Each vertex's neighbors in the block just before its own. Decorations
+    strictly below these bounds are exactly the ones that leave the
+    canonical toppling unchanged."""
+    out = [0] * (sum(len(b) for b in blocks) - 1)
+    for k in range(1, len(blocks)):
+        prev = _mask(blocks[k - 1])
+        for v in blocks[k]:
+            out[v - 1] = _neighbors_in(prev, v, k % 2)
+    return tuple(out)
+
+
+def classify_decoration(blocks, decorations):
+    """'canonical' when every decoration is below its canonical bound,
+    'stable' when below its stable bound only, 'invalid' otherwise. The
+    decorations must be one per vertex and non-negative."""
+    canonical = canonical_bounds_from_blocks(blocks)
+    decorations = check_counts(decorations, len(canonical), "decorations")
+    if all(a < b for a, b in zip(decorations, canonical)):
+        return "canonical"
+    if all(a < b for a, b in zip(decorations, stable_bounds_from_blocks(blocks))):
+        return "stable"
+    return "invalid"
+
+
+def decompose(diagram, heights):
+    """(blocks, decorations) of a recurrent configuration: its canonical
+    blocks and its surplus over the minimal configuration of those blocks.
+    The decorations are canonical."""
+    heights = _check_config(diagram, heights)
+    blocks = canonical_toppling(diagram, heights)
+    deco = tuple(h - b for h, b in zip(heights, minimal_from_blocks(blocks)))
+    if any(a < 0 for a in deco):
+        raise RuntimeError("%r lies below its minimal configuration" % (heights,))
+    return blocks, deco

@@ -152,16 +152,22 @@ def minimal_config(t):
     return tuple(out)
 
 
+def _comparison_grid(diagram, blocks):
+    """Full rectangular grid over every row/column label pair: 1 exactly
+    when the row's block precedes the column's block."""
+    pos = {v: k for k, block in enumerate(blocks) for v in block}
+    return [
+        [1 if pos[i] < pos[j] else 0 for j in diagram.col_labels]
+        for i in diagram.row_labels
+    ]
+
+
 def from_blocks(diagram, blocks):
     """The EW-tableau of an ordered partition of the labels: cell (i, j) is
     1 exactly when row i's block precedes column j's block. Raises
     DomainError when the filling breaks an EW condition."""
-    pos = {v: k for k, block in enumerate(blocks) for v in block}
-    cols = diagram.col_labels
-    rows = [
-        [1 if pos[i] < pos[j] else 0 for j in cols[:p]]
-        for i, p in zip(diagram.row_labels, diagram.parts)
-    ]
+    grid = _comparison_grid(diagram, blocks)
+    rows = [row[:p] for row, p in zip(grid, diagram.parts)]
     return ensure_valid(EWTableau(diagram, rows))
 
 
@@ -254,17 +260,7 @@ class Supplementary:
 
 def supplementary(t):
     """Build the supplementary grid from the canonical toppling blocks."""
-    d = t.diagram
-    blocks = canonical_toppling(t)
-    pos = {}
-    for k, block in enumerate(blocks):
-        for v in block:
-            pos[v] = k
-    grid = [
-        [1 if pos[i] < pos[j] else 0 for j in d.col_labels]
-        for i in d.row_labels
-    ]
-    return Supplementary(d, grid)
+    return Supplementary(t.diagram, _comparison_grid(t.diagram, canonical_toppling(t)))
 
 
 def supplementary_entry(t, i, j):
@@ -422,46 +418,24 @@ def canonical_bounds(t):
 
 def stable_bounds(t):
     """Per-vertex decoration bounds below which the decorated configuration
-    stays stable: total 0s in the row, total 1s in the column."""
-    d = t.diagram
-    out = [0] * d.n
-    for i in d.row_labels:
-        if i == 0:
-            continue
-        ri = d.row_index(i)
-        out[i - 1] = d.parts[ri] - sum(t.rows[ri])
-    for x, j in enumerate(d.col_labels):
-        out[j - 1] = sum(t.rows[ri][x] for ri in range(d.degrees[j - 1]))
-    return tuple(out)
+    stays stable: total 0s in the row, total 1s in the column, read off the
+    blocks of the tableau's own toppling scan."""
+    return sandpile.stable_bounds_from_blocks(canonical_toppling(t))
 
 
 def classify_decoration(t, decorations):
     """'canonical' when every decoration is below the canonical bound,
-    'stable' when below the stable bound only, 'invalid' otherwise."""
-    d = t.diagram
-    decorations = tuple(int(a) for a in decorations)
-    if len(decorations) != d.n:
-        raise DomainError(
-            "expected %d decorations, got %d" % (d.n, len(decorations))
-        )
-    if any(a < 0 for a in decorations):
-        raise DomainError("decorations must be non-negative")
-    if all(a < b for a, b in zip(decorations, canonical_bounds(t))):
-        return "canonical"
-    if all(a < b for a, b in zip(decorations, stable_bounds(t))):
-        return "stable"
-    return "invalid"
+    'stable' when below the stable bound only, 'invalid' otherwise; the
+    bounds come from the blocks of the tableau's own toppling scan."""
+    return sandpile.classify_decoration(canonical_toppling(t), decorations)
 
 
 def decorated_from_config(diagram, heights):
     """Encode a recurrent configuration as (tableau, decorations): the
-    tableau of its minimal recurrent part plus the grain surplus. The
-    minimal part shares the avalanche of the heights, so one avalanche
-    gives the tableau and the tableau gives the minimal part."""
-    t = from_blocks(diagram, sandpile.canonical_toppling(diagram, heights))
-    base = minimal_config(t)
-    deco = tuple(h - b for h, b in zip(heights, base))
-    return t, deco
+    tableau of its canonical blocks plus the grain surplus over their
+    minimal configuration."""
+    blocks, deco = sandpile.decompose(diagram, heights)
+    return from_blocks(diagram, blocks), deco
 
 
 def config_from_decorated(t, decorations):

@@ -29,6 +29,12 @@ def check_tree(parents):
     """Normalize and validate a parent array: entry 0 is None, every other
     entry is a vertex, every vertex reaches the root. Returns the tuple."""
     parents = tuple(parents)
+    _depths(parents)
+    return parents
+
+
+def _depths(parents):
+    """Depth of every vertex of a parent array, validating it on the way."""
     n = len(parents) - 1
     if n < 1:
         raise DomainError("a tree needs at least one non-root vertex")
@@ -50,38 +56,25 @@ def check_tree(parents):
                 raise DomainError("parent array contains a cycle through %d" % u)
         for w in reversed(path):
             depth[w] = depth[parents[w]] + 1
-    return parents
+    return depth
 
 
 def is_intransitive(parents):
-    """True when every vertex compares the same way with all its neighbors."""
+    """True when every vertex compares the same way with all its neighbors:
+    no vertex is the smaller end of one edge and the larger end of another."""
     parents = check_tree(parents)
-    n = len(parents) - 1
-    for v in range(1, n + 1):
-        nbrs = [parents[v]] + [u for u in range(1, n + 1) if parents[u] == v]
-        if not (all(u < v for u in nbrs) or all(u > v for u in nbrs)):
-            return False
-    return True
+    edges = [sorted((v, p)) for v, p in enumerate(parents) if p is not None]
+    return not {lo for lo, _ in edges} & {hi for _, hi in edges}
 
 
 def bfs_levels(parents):
     """Vertices grouped by depth, each level a sorted tuple; level 0 is
     always (0,)."""
-    parents = check_tree(parents)
-    n = len(parents) - 1
-    depth = {0: 0}
-    for v in range(1, n + 1):
-        path = []
-        u = v
-        while u not in depth:
-            path.append(u)
-            u = parents[u]
-        for w in reversed(path):
-            depth[w] = depth[parents[w]] + 1
-    levels = [[] for _ in range(max(depth.values()) + 1)]
-    for v, k in depth.items():
+    depth = _depths(tuple(parents))
+    levels = [[] for _ in range(max(depth) + 1)]
+    for v, k in enumerate(depth):
         levels[k].append(v)
-    return tuple(tuple(sorted(level)) for level in levels)
+    return tuple(tuple(level) for level in levels)
 
 
 def perm_to_tree(word, decorations):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ewtab import permutations, sandpile, serialize, trees
 from ewtab.cli import main
 
 
@@ -254,3 +255,80 @@ def test_dot_only_for_trees(capsys):
                          "perm", "--shape", "5,3,3,2", "--data",
                          "0,0,2,1,0,0,3,2", "--format", "dot")
     assert code == 2
+
+
+STAIRCASE_12 = ",".join(str(p) for p in range(12, 0, -1))
+
+
+@pytest.fixture(scope="module")
+def staircase_objects():
+    """A recurrent configuration on staircase 12 (n = 23, far beyond the
+    oracle budget) in all four carriers."""
+    d = serialize.parse_shape(STAIRCASE_12)
+    grains = [g - 1 + (v % 3 == 0) for v, g in enumerate(d.degrees, 1)]
+    heights, _ = sandpile.stabilize(d, grains)
+    word, deco = permutations.decorated_from_config(d, heights)
+    assert permutations.config_from_decorated(word, deco) == (d, heights)
+    return {
+        "config": (d, heights),
+        "tableau": (permutations.to_tableau(word), deco),
+        "perm": (word, deco),
+        "tree": trees.perm_to_tree(word, deco),
+    }
+
+
+def _staircase_input(src, objects):
+    if src == "config":
+        return ["--shape", STAIRCASE_12, "--data",
+                serialize.config_to_text(objects["config"][1])]
+    if src == "tableau":
+        return ["--data", serialize.tableau_to_text(*objects["tableau"])]
+    if src == "perm":
+        return ["--data", serialize.perm_to_text(*objects["perm"])]
+    return ["--data", serialize.tree_to_text(objects["tree"])]
+
+
+def _parse_back(dst, out, objects):
+    if dst == "config":
+        return serialize.parse_config(out, objects["config"][0])
+    if dst == "tableau":
+        return serialize.parse_tableau(out)
+    if dst == "perm":
+        return serialize.parse_perm(out)
+    return serialize.parse_tree(out)
+
+
+KINDS = ("config", "tableau", "perm", "tree")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("dst", KINDS)
+@pytest.mark.parametrize("src", KINDS)
+def test_convert_every_pair_beyond_oracle_budget(capsys, staircase_objects,
+                                                 src, dst, fmt):
+    code, out, err = run(capsys, "convert", "--from", src, "--to", dst,
+                         "--format", fmt,
+                         *_staircase_input(src, staircase_objects))
+    assert code == 0, err
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert _parse_back(dst, out, staircase_objects) == staircase_objects[dst]
+
+
+@pytest.mark.parametrize("argv", [
+    # decorations over the canonical bounds
+    ["--from", "perm", "--to", "config", "--data", "2^5 3^0 - 1^0"],
+    ["--from", "perm", "--to", "tree", "--data", "2^5 3^0 - 1^0"],
+    ["--from", "tableau", "--to", "perm", "--data", "111/00/0^0,1,1,0,0"],
+    ["--from", "tableau", "--to", "config", "--data", "111/00/0^0,1,1,0,0"],
+    # not recurrent, not an EW-tableau, not intransitive
+    ["--from", "config", "--to", "config", "--shape", "3,2,1",
+     "--data", "0,0,0,0,0"],
+    ["--from", "tableau", "--to", "tableau", "--data", "111/11/0"],
+    ["--from", "tree", "--to", "tree", "--data", ".,0,1"],
+], ids=["perm-config", "perm-tree", "tableau-perm", "tableau-config",
+        "config-config", "tableau-tableau", "tree-tree"])
+def test_convert_rejects_what_encodes_no_recurrent_config(capsys, argv):
+    code, out, err = run(capsys, "convert", *argv)
+    assert code == 3
+    assert err.startswith("error:")
+    assert out == ""

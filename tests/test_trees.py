@@ -113,3 +113,14 @@ def test_to_dot():
     assert "0 -> 9" in text
     assert "2 -> 8" in text
     assert text.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 7), (4, 36), (5, 246)])
+def test_is_intransitive_matches_naive_on_every_tree(n, count):
+    # count: intransitive trees on n + 1 labeled vertices (OEIS A007889)
+    found = 0
+    for parents in oracles._all_prufer_trees(n):
+        fast = trees.is_intransitive(parents)
+        assert fast == oracles._is_intransitive_naive(parents)
+        found += fast
+    assert found == count
