@@ -9,10 +9,11 @@ blocks hold column vertices, descending blocks hold row vertices.
 The module converts both ways between words, tableaux and configurations,
 feeds the run blocks to the block core for the bounds, and implements
 grain stabilization directly on decorated words: a letter with too large a
-decoration either settles (slides one block towards the front, handing one
-grain to each witness that made its bound) or, from the first block, topples
-(pays out its bound and jumps to the last block it still beats). The result
-is canonical and matches graph stabilization exactly.
+decoration either settles (moves to the previous block of its own kind, two
+blocks towards the front, handing one grain to each witness that made its
+bound) or, from the first block of its kind, topples (pays out its bound
+and jumps to the last block it still beats). The result is canonical and
+matches graph stabilization exactly.
 """
 
 from .errors import DomainError
@@ -22,6 +23,7 @@ from . import tableaux
 
 __all__ = [
     "run_blocks",
+    "in_block_order",
     "word_from_blocks",
     "shape_of_word",
     "from_tableau",
@@ -48,7 +50,10 @@ def run_blocks(word):
     """Split into maximal alternating runs, ascending first, prefixed with
     the sink block. Blocks come back as ascending tuples: run_blocks of
     (1,3,5,4,2) is ((0,), (1,3,5), (2,4))."""
-    word = _check_word(word)
+    return _runs(_check_word(word))
+
+
+def _runs(word):
     blocks = [(0,)]
     i = 0
     ascending = True
@@ -62,6 +67,21 @@ def run_blocks(word):
     return tuple(blocks)
 
 
+def in_block_order(letters, k):
+    """The letters sorted the way the word writes the block at position k
+    (the sink block is position 0): ascending at odd k, descending at even
+    k."""
+    return sorted(letters, reverse=(k % 2 == 0))
+
+
+def _write(blocks):
+    """The letters of the blocks after the sink block, in word order."""
+    word = []
+    for k in range(1, len(blocks)):
+        word.extend(in_block_order(blocks[k], k))
+    return tuple(word)
+
+
 def word_from_blocks(blocks):
     """Rebuild the word from its blocks (sink block first): odd-position
     blocks are written ascending, even-position blocks descending. The
@@ -69,25 +89,24 @@ def word_from_blocks(blocks):
     blocks = tuple(tuple(sorted(b)) for b in blocks)
     if not blocks or blocks[0] != (0,):
         raise DomainError("blocks must start with the sink block (0,)")
-    word = []
-    for k in range(1, len(blocks)):
-        if not blocks[k]:
-            raise DomainError("blocks must be nonempty")
-        part = sorted(blocks[k], reverse=(k % 2 == 0))
-        word.extend(part)
-    word = _check_word(word)
-    if run_blocks(word) != blocks:
+    if not all(blocks):
+        raise DomainError("blocks must be nonempty")
+    word = _check_word(_write(blocks))
+    if _runs(word) != blocks:
         raise DomainError("blocks are not the run decomposition of any word")
     return word
 
 
-def shape_of_word(word):
-    """The Ferrers shape whose rows are {0} plus the descent bottoms."""
-    blocks = run_blocks(word)
+def _shape_of_blocks(blocks):
     rows = [0]
     for k in range(2, len(blocks), 2):
         rows.extend(blocks[k])
-    return FerrersDiagram.from_row_labels(rows, len(word))
+    return FerrersDiagram.from_row_labels(rows, sum(map(len, blocks)) - 1)
+
+
+def shape_of_word(word):
+    """The Ferrers shape whose rows are {0} plus the descent bottoms."""
+    return _shape_of_blocks(run_blocks(word))
 
 
 def from_tableau(t):
@@ -98,7 +117,8 @@ def from_tableau(t):
 def to_tableau(word):
     """Tableau whose entry at (row i, column j) records whether i's block
     precedes j's block. Inverse of from_tableau."""
-    return tableaux.from_blocks(shape_of_word(word), run_blocks(word))
+    blocks = run_blocks(word)
+    return tableaux.from_blocks(_shape_of_blocks(blocks), blocks)
 
 
 def word_from_config(diagram, heights):
@@ -146,183 +166,110 @@ def config_from_decorated(word, decorations):
     exactly the configurations that decompose to this word; larger ones
     still map to configurations (possibly unstable) and are what the
     stabilizer works on."""
-    word = _check_word(word)
-    decorations = sandpile.check_counts(decorations, len(word), "decorations")
-    base = minimal_config(word)
+    blocks = run_blocks(word)
+    base = sandpile.minimal_from_blocks(blocks)
+    decorations = sandpile.check_counts(decorations, len(base), "decorations")
     heights = tuple(b + a for b, a in zip(base, decorations))
-    return shape_of_word(word), heights
-
-
-class _Blocks:
-    """Mutable positional block structure for the stabilizer.
-
-    blocks[0] is the first ascending block, blocks[1] the first descending
-    block and so on; each is kept sorted ascending. Blocks may be empty in
-    mid-rewrite; the rules below make any letter behind an empty block
-    unsettled, so such states rewrite themselves away.
-    """
-
-    def __init__(self, blocks):
-        self.blocks = [sorted(b) for b in blocks]
-
-    @classmethod
-    def from_word(cls, word):
-        return cls(run_blocks(word)[1:])
-
-    def word(self):
-        out = []
-        for idx, block in enumerate(self.blocks):
-            out.extend(block if idx % 2 == 0 else reversed(block))
-        return tuple(out)
-
-    def index_of(self, x):
-        for idx, block in enumerate(self.blocks):
-            if x in block:
-                return idx
-        raise RuntimeError("letter %r lost" % (x,))
-
-    def witnesses(self, x):
-        """Letters of the previous block that bound x from its own side:
-        smaller ones for an ascending letter, larger ones for a descending
-        letter. The first block's witness is the sink, reported as 0."""
-        idx = self.index_of(x)
-        if idx == 0:
-            return [0]
-        prev = self.blocks[idx - 1]
-        if idx % 2 == 0:
-            return [j for j in prev if j < x]
-        return [j for j in prev if j > x]
-
-    def mu(self, x):
-        return len(self.witnesses(x))
-
-    def _insert(self, idx, x):
-        while len(self.blocks) <= idx:
-            self.blocks.append([])
-        block = self.blocks[idx]
-        block.append(x)
-        block.sort()
-
-    def _trim(self):
-        while self.blocks and not self.blocks[-1]:
-            self.blocks.pop()
-
-    def settle(self, x, deco):
-        """Slide an unsettled letter one block towards the front, paying one
-        grain to each witness. Preserves the encoded configuration."""
-        idx = self.index_of(x)
-        if idx < 2:
-            raise RuntimeError("only letters beyond the first block settle")
-        ws = self.witnesses(x)
-        if deco[x - 1] < len(ws):
-            raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, len(ws)))
-        deco[x - 1] -= len(ws)
-        for w in ws:
-            deco[w - 1] += 1
-        self.blocks[idx].remove(x)
-        self._insert(idx - 2, x)
-        self._trim()
-
-    def topple(self, x, deco):
-        """Topple an unstable first-block letter: pay out its bound (to the
-        larger first-ascending-block letters for a descending letter, to the
-        sink for an ascending one) and jump to the last block it beats."""
-        idx = self.index_of(x)
-        if idx > 1:
-            raise RuntimeError("only first-block letters topple")
-        ws = self.witnesses(x)
-        if deco[x - 1] < len(ws):
-            raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, len(ws)))
-        deco[x - 1] -= len(ws)
-        for w in ws:
-            if w != 0:
-                deco[w - 1] += 1
-        self.blocks[idx].remove(x)
-        if idx == 1:
-            k = max(
-                m
-                for m in range(len(self.blocks))
-                if m % 2 == 0 and any(j > x for j in self.blocks[m])
-            )
-            self._insert(k + 1, x)
-        else:
-            candidates = [-1]
-            candidates += [
-                m
-                for m in range(1, len(self.blocks), 2)
-                if any(j < x for j in self.blocks[m])
-            ]
-            self._insert(max(candidates) + 1, x)
-        if len(self.blocks) > 1 and not self.blocks[1]:
-            rest = self.blocks[2] if len(self.blocks) > 2 else []
-            self.blocks = [sorted(self.blocks[0] + rest)] + self.blocks[3:]
-        self._trim()
+    return _shape_of_blocks(blocks), heights
 
 
 def stabilize(word, decorations, trace=False):
     """Stabilize a decorated word without touching the graph.
 
+    The state is two lists: pos[x], the block of every letter x (the sink
+    block is 0, so the first ascending block is 1), and the decorations.
+    Every pass groups the letters into blocks by pos, takes each letter's
+    bound from the block core (1 in the first block, for the sink; 0 behind
+    a block that has emptied) and writes the word from the blocks.
+
     Repeatedly: settle the leftmost letter at or over its bound that sits
-    beyond the first block; once none remain, collect the first-block
-    letters at or over their bounds (these are exactly the unstable vertices
-    of the encoded configuration) and topple each in left-to-right order.
-    Stops when neither kind exists; the result is a canonically decorated
-    word encoding the graph stabilization of the input configuration.
+    beyond the first block of its kind (pos[x] -= 2, one grain to each
+    witness); once none remain, collect the first-block letters at or over
+    their bounds (these are exactly the unstable vertices of the encoded
+    configuration) and topple each in left-to-right order. A toppled letter
+    jumps behind the last block of the other kind that holds a letter it
+    beats; when the first descending block empties, the blocks behind it
+    move up by two. Stops when neither kind of move exists; the result is a
+    canonically decorated word encoding the graph stabilization of the
+    input configuration.
 
     Returns (word, decorations), or (word, decorations, trace) with trace a
     list of {action, letter, word, decorations} snapshots taken after each
     settle or topple.
     """
     word = _check_word(word)
-    deco = list(sandpile.check_counts(decorations, len(word), "decorations"))
-    b = _Blocks.from_word(word)
+    n = len(word)
+    deco = list(sandpile.check_counts(decorations, n, "decorations"))
+    pos = [0] * (n + 1)
+    for k, block in enumerate(_runs(word)):
+        for x in block:
+            pos[x] = k
     events = []
-    cap = 10_000 + 40 * (len(word) + 2) ** 3 * (sum(deco) + len(word) + 2)
+    cap = 10_000 + 40 * (n + 2) ** 3 * (sum(deco) + n + 2)
     steps = 0
 
-    def record(action, letter):
-        events.append(
-            {
-                "action": action,
-                "letter": letter,
-                "word": b.word(),
-                "decorations": tuple(deco),
-            }
-        )
+    def layout():
+        """The blocks of pos, each sorted, their bounds and their word."""
+        blocks = [[] for _ in range(max(pos) + 1)]
+        for x, k in enumerate(pos):
+            blocks[k].append(x)
+        return blocks, sandpile.canonical_bounds_from_blocks(blocks), _write(blocks)
 
+    def pay(blocks, x, bound):
+        """x hands one grain to each of its bound witnesses: the letters of
+        the previous block on its own side of it (the sink, which keeps no
+        grain, for the first block)."""
+        if deco[x - 1] < bound:
+            raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, bound))
+        deco[x - 1] -= bound
+        for w in in_block_order(blocks[pos[x] - 1], pos[x])[:bound]:
+            if w:
+                deco[w - 1] += 1
+
+    def record(action, letter, word):
+        if trace:
+            events.append(
+                {
+                    "action": action,
+                    "letter": letter,
+                    "word": word,
+                    "decorations": tuple(deco),
+                }
+            )
+
+    blocks, bound, out = layout()
     while True:
         steps += 1
         if steps >= cap:
             raise RuntimeError("stabilization exceeded its iteration budget")
-        moved = False
-        for x in b.word():
-            if b.index_of(x) >= 2 and deco[x - 1] >= b.mu(x):
-                b.settle(x, deco)
-                if trace:
-                    record("settle", x)
-                moved = True
-                break
-        if moved:
+        x = next(
+            (x for x in out if pos[x] >= 3 and deco[x - 1] >= bound[x - 1]), None
+        )
+        if x is not None:
+            pay(blocks, x, bound[x - 1])
+            pos[x] -= 2
+            blocks, bound, out = layout()
+            record("settle", x, out)
             continue
-        unstable = {
-            x
-            for idx in (0, 1)
-            if idx < len(b.blocks)
-            for x in b.blocks[idx]
-            if deco[x - 1] >= b.mu(x)
-        }
+        unstable = {x for x in out if pos[x] <= 2 and deco[x - 1] >= bound[x - 1]}
         if not unstable:
             break
         while unstable:
-            x = next(l for l in b.word() if l in unstable)
+            x = next(l for l in out if l in unstable)
             unstable.discard(x)
-            b.topple(x, deco)
-            if trace:
-                record("topple", x)
-    out = b.word()
-    if run_blocks(out)[1:] != tuple(tuple(blk) for blk in b.blocks):
+            pay(blocks, x, bound[x - 1])
+            # behind the last block of the other kind holding a letter that
+            # x beats; the sink is beaten by every ascending letter
+            k = pos[x]
+            beaten = range(x) if k == 1 else range(x + 1, n + 1)
+            pos[x] = max(pos[j] for j in beaten if pos[j] % 2 != k % 2) + 1
+            if 2 not in pos:  # the first descending block has emptied
+                pos[:] = [p - 2 if p >= 3 else p for p in pos]
+            blocks, bound, out = layout()
+            record("topple", x, out)
+    if _runs(out) != tuple(map(tuple, blocks)):
         raise RuntimeError("stabilized blocks are not the runs of %r" % (out,))
-    if classify_decoration(out, deco) != "canonical":
+    if sandpile.classify_decoration(blocks, deco) != "canonical":
         raise RuntimeError("stabilized decoration of %r is not canonical" % (out,))
     if trace:
         return out, tuple(deco), events

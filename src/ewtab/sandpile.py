@@ -200,29 +200,34 @@ def canonical_bounds(diagram, heights):
 
 
 def _mask(labels):
-    return sum(1 << v for v in labels)
+    mask = 0
+    for v in labels:
+        mask |= 1 << v
+    return mask
 
 
-def _neighbors_in(mask, v, column):
-    """How many labels of mask are neighbors of v: the smaller ones for a
-    column vertex, the larger ones for a row vertex."""
+def _count_neighbors(out, mask, block, column):
+    """out[v] = how many labels of mask are neighbors of v, for every v of
+    the block: the smaller labels for a column block, the larger ones for a
+    row block."""
     if column:
-        return (mask & ((1 << v) - 1)).bit_count()
-    return (mask >> v).bit_count()
+        for v in block:
+            out[v] = (mask & ((1 << v) - 1)).bit_count()
+    else:
+        for v in block:
+            out[v] = (mask >> v).bit_count()
 
 
 def _neighbors_seen(blocks, order):
     """Per vertex, its neighbors in the blocks visited before its own when
     the blocks are visited in the given order of positions."""
-    out = [0] * (sum(len(b) for b in blocks) - 1)
+    out = [0] * sum(map(len, blocks))
     seen = [0, 0]  # labels of the visited row blocks, column blocks
     for k in order:
         column = k % 2
-        for v in blocks[k]:
-            if v:
-                out[v - 1] = _neighbors_in(seen[1 - column], v, column)
+        _count_neighbors(out, seen[1 - column], blocks[k], column)
         seen[column] |= _mask(blocks[k])
-    return tuple(out)
+    return tuple(out[1:])
 
 
 def minimal_from_blocks(blocks):
@@ -243,12 +248,10 @@ def canonical_bounds_from_blocks(blocks):
     """Each vertex's neighbors in the block just before its own. Decorations
     strictly below these bounds are exactly the ones that leave the
     canonical toppling unchanged."""
-    out = [0] * (sum(len(b) for b in blocks) - 1)
+    out = [0] * sum(map(len, blocks))
     for k in range(1, len(blocks)):
-        prev = _mask(blocks[k - 1])
-        for v in blocks[k]:
-            out[v - 1] = _neighbors_in(prev, v, k % 2)
-    return tuple(out)
+        _count_neighbors(out, _mask(blocks[k - 1]), blocks[k], k % 2)
+    return tuple(out[1:])
 
 
 def classify_decoration(blocks, decorations):

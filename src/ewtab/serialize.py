@@ -321,7 +321,7 @@ def perm_to_text(word, decorations=None):
     blocks = permutations.run_blocks(word)
     groups = []
     for k in range(1, len(blocks)):
-        letters = sorted(blocks[k], reverse=(k % 2 == 0))
+        letters = permutations.in_block_order(blocks[k], k)
         groups.append(" ".join("%d^%d" % (x, decorations[x - 1]) for x in letters))
     return " - ".join(groups)
 

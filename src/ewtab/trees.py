@@ -14,6 +14,7 @@ at v is the parent of v, with None at the root.
 
 from .errors import DomainError
 from . import permutations
+from . import sandpile
 
 __all__ = [
     "is_intransitive",
@@ -51,9 +52,10 @@ def _depths(parents):
         u = v
         while depth[u] is None:
             path.append(u)
+            depth[u] = -1  # on the current path
             u = parents[u]
-            if u in path:
-                raise DomainError("parent array contains a cycle through %d" % u)
+        if depth[u] == -1:
+            raise DomainError("parent array contains a cycle through %d" % u)
         for w in reversed(path):
             depth[w] = depth[parents[w]] + 1
     return depth
@@ -62,7 +64,10 @@ def _depths(parents):
 def is_intransitive(parents):
     """True when every vertex compares the same way with all its neighbors:
     no vertex is the smaller end of one edge and the larger end of another."""
-    parents = check_tree(parents)
+    return _intransitive(check_tree(parents))
+
+
+def _intransitive(parents):
     edges = [sorted((v, p)) for v, p in enumerate(parents) if p is not None]
     return not {lo for lo, _ in edges} & {hi for _, hi in edges}
 
@@ -70,7 +75,10 @@ def is_intransitive(parents):
 def bfs_levels(parents):
     """Vertices grouped by depth, each level a sorted tuple; level 0 is
     always (0,)."""
-    depth = _depths(tuple(parents))
+    return _levels(_depths(tuple(parents)))
+
+
+def _levels(depth):
     levels = [[] for _ in range(max(depth) + 1)]
     for v, k in enumerate(depth):
         levels[k].append(v)
@@ -83,13 +91,13 @@ def perm_to_tree(word, decorations):
     intransitive tree whose levels are the blocks."""
     word = tuple(int(x) for x in word)
     decorations = tuple(int(a) for a in decorations)
-    kind = permutations.classify_decoration(word, decorations)
+    blocks = permutations.run_blocks(word)
+    kind = sandpile.classify_decoration(blocks, decorations)
     if kind != "canonical":
         raise DomainError("decoration is %s, not canonical" % kind)
-    blocks = permutations.run_blocks(word)
     parents = [None] * (len(word) + 1)
     for k in range(1, len(blocks)):
-        prev = sorted(blocks[k - 1], reverse=(k % 2 == 0))
+        prev = permutations.in_block_order(blocks[k - 1], k)
         for x in blocks[k]:
             parents[x] = prev[decorations[x - 1]]
     parents = tuple(parents)
@@ -100,19 +108,20 @@ def perm_to_tree(word, decorations):
 
 def tree_to_perm(parents):
     """Read the word and decorations back off an intransitive tree."""
-    parents = check_tree(parents)
-    if not is_intransitive(parents):
+    parents = tuple(parents)
+    depth = _depths(parents)
+    if not _intransitive(parents):
         raise DomainError("tree is not intransitive")
-    levels = bfs_levels(parents)
+    levels = _levels(depth)
     word = permutations.word_from_blocks(levels)
     deco = [0] * len(word)
     for k in range(1, len(levels)):
-        prev = sorted(levels[k - 1], reverse=(k % 2 == 0))
+        prev = permutations.in_block_order(levels[k - 1], k)
         rank = {v: r for r, v in enumerate(prev)}
         for x in levels[k]:
             deco[x - 1] = rank[parents[x]]
     deco = tuple(deco)
-    if permutations.classify_decoration(word, deco) != "canonical":
+    if sandpile.classify_decoration(levels, deco) != "canonical":
         raise RuntimeError("decoration read off the tree is not canonical")
     return word, deco
 

@@ -272,3 +272,27 @@ def test_bounds_are_positive(word):
     sb = permutations.stable_bounds(word)
     assert all(v >= 1 for v in nu)
     assert all(a <= b for a, b in zip(nu, sb))
+
+
+@pytest.mark.parametrize("parts", [
+    tuple(range(16, 0, -1)), tuple(range(32, 0, -1)), (8,) * 8])
+def test_stabilize_matches_graph_beyond_enumeration(parts):
+    import random
+
+    d = FerrersDiagram(parts)
+    rng = random.Random(len(parts) * 1000 + parts[0])
+    top = tuple(g - 1 for g in d.degrees)  # the maximal stable config
+    w, a = permutations.decorated_from_config(d, top)
+    for _ in range(3):
+        burst = [0] * d.n
+        for _ in range(rng.randint(1, d.n)):
+            burst[rng.randrange(d.n)] += 1
+        bumped = tuple(x + b for x, b in zip(a, burst))
+        g, _ = sandpile.stabilize(d, tuple(x + b for x, b in zip(top, burst)))
+        blocks, deco = sandpile.decompose(d, g)
+        expected = (permutations.word_from_blocks(blocks), deco)
+        assert permutations.stabilize(w, bumped) == expected
+        w2, a2, events = permutations.stabilize(w, bumped, trace=True)
+        assert (w2, a2) == expected
+        assert events
+        assert (events[-1]["word"], events[-1]["decorations"]) == expected

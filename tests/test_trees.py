@@ -124,3 +124,13 @@ def test_is_intransitive_matches_naive_on_every_tree(n, count):
         assert fast == oracles._is_intransitive_naive(parents)
         found += fast
     assert found == count
+
+
+def test_bfs_levels_on_a_long_path():
+    # 0 - 20000 - 19999 - ... - 1: every vertex hangs below the next larger
+    n = 20_000
+    path = (None,) + tuple(range(2, n + 1)) + (0,)
+    assert trees.bfs_levels(path) == ((0,),) + tuple((v,) for v in range(n, 0, -1))
+    closed = path[:n] + (1,)  # the far end points back into the path
+    with pytest.raises(DomainError):
+        trees.bfs_levels(closed)
