@@ -11,12 +11,15 @@ once their work estimate passes a budget: the default is 10**7, overridable
 through the EWTAB_ORACLE_BUDGET environment variable or the budget argument.
 """
 
+import collections
+import functools
 import heapq
 import itertools
+import math
 import os
 import random
 
-from .errors import BudgetError
+from .errors import BudgetError, FormatError
 from . import sandpile
 from . import tableaux
 from . import permutations
@@ -38,7 +41,12 @@ def _budget(budget):
     if budget is not None:
         return int(budget)
     env = os.environ.get("EWTAB_ORACLE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise FormatError(
+            "EWTAB_ORACLE_BUDGET must be an integer, got %r" % env
+        ) from None
 
 
 def enumerate_stable(diagram, budget=None):
@@ -183,7 +191,9 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     Returns {"shape", "n", "pass", "properties"} where properties is a list
     of {"name", "pass"} dicts, some carrying "detail" or "counterexample".
     Raises BudgetError when the shape is too large for the brute-force
-    enumerations under the active budget.
+    enumerations under the active budget. Each enumeration runs once per
+    shape; the checks over all words and trees of size n run once per n
+    in a process.
     """
     d = diagram
     report = []
@@ -195,54 +205,50 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
 
     rec = list(enumerate_recurrent(d, budget))
     target = d.edge_count - d.parts[0]
-    minimal = [c for c in rec if sum(c) == target]
+    minimal = {c for c in rec if sum(c) == target}
     tabs = list(enumerate_tableaux(d, budget))
+    mins = [tableaux.minimal_config(t) for t in tabs]
+    words = [permutations.from_tableau(t) for t in tabs]
+    nus = [tableaux.canonical_bounds(t) for t in tabs]
+    # (word, decorations, configuration) per canonically decorated tableau
+    decorated = [
+        (w, deco, tableaux.config_from_decorated(t, deco))
+        for t, w, nu in zip(tabs, words, nus)
+        for deco in itertools.product(*[range(b) for b in nu])
+    ]
 
     # counting: recurrent configurations, spanning trees, and the product
     # formula over tableaux must agree; minimal ones match tableaux
     trees_count = d.spanning_tree_count()
-    nu_sum = 0
-    for t in tabs:
-        prod = 1
-        for b in tableaux.canonical_bounds(t):
-            prod *= b
-        nu_sum += prod
     add(
         "counting",
-        len(rec) == trees_count == nu_sum and len(minimal) == len(tabs),
+        len(rec) == trees_count == len(decorated) and len(minimal) == len(tabs),
         detail="recurrent=%d trees=%d decorated=%d minimal=%d tableaux=%d"
-        % (len(rec), trees_count, nu_sum, len(minimal), len(tabs)),
+        % (len(rec), trees_count, len(decorated), len(minimal), len(tabs)),
     )
 
     # tableau round trip against the brute-force minimal list
-    bad = None
-    configs = set()
-    for t in tabs:
-        c = tableaux.minimal_config(t)
-        configs.add(c)
-        if tableaux.from_minimal_config(d, c) != t:
-            bad = (t.row_strings(), c)
-            break
-    if bad is None and configs != set(minimal):
-        bad = ("config sets differ", sorted(configs ^ set(minimal)))
+    bad = next(
+        ((t.row_strings(), c) for t, c in zip(tabs, mins)
+         if tableaux.from_minimal_config(d, c) != t),
+        None,
+    )
+    if bad is None and set(mins) != minimal:
+        bad = ("config sets differ", sorted(set(mins) ^ minimal))
     add("tableau-roundtrip", bad is None, counterexample=bad)
 
     # the tableau-side avalanche must equal the sandpile one
-    bad = None
-    for t in tabs:
-        c = tableaux.minimal_config(t)
-        if tableaux.canonical_toppling(t) != sandpile.canonical_toppling(d, c):
-            bad = t.row_strings()
-            break
+    bad = next(
+        (t.row_strings() for t, c in zip(tabs, mins)
+         if tableaux.canonical_toppling(t) != sandpile.canonical_toppling(d, c)),
+        None,
+    )
     add("avalanche-agreement", bad is None, counterexample=bad)
 
     # canonical and stable bounds agree across all three carriers, and
     # minimal config plus stable bound gives the degree
     bad = None
-    for t in tabs:
-        c = tableaux.minimal_config(t)
-        w = permutations.from_tableau(t)
-        nu = tableaux.canonical_bounds(t)
+    for t, c, w, nu in zip(tabs, mins, words, nus):
         if nu != sandpile.canonical_bounds(d, c) or nu != permutations.canonical_bounds(w):
             bad = ("canonical", t.row_strings())
             break
@@ -259,34 +265,29 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     add("bounds-agreement", bad is None, counterexample=bad)
 
     # the two corner-support routes agree
-    bad = None
-    for t in tabs:
-        if tableaux.corner_support(t, "blocks") != tableaux.corner_support(t, "local"):
-            bad = t.row_strings()
-            break
+    bad = next(
+        (t.row_strings() for t in tabs
+         if tableaux.corner_support(t, "blocks") != tableaux.corner_support(t, "local")),
+        None,
+    )
     add("cornersupport-dual", bad is None, counterexample=bad)
 
     # the local supplementary rule matches the grid built from the avalanche
     bad = None
     for t in tabs:
         s = tableaux.supplementary(t)
-        for i in d.row_labels:
-            for j in d.col_labels:
-                if i > j and s.entry(i, j) != tableaux.supplementary_entry(t, i, j):
-                    bad = (t.row_strings(), i, j)
-                    break
-            if bad:
-                break
+        bad = next(
+            ((t.row_strings(), i, j) for i in d.row_labels for j in d.col_labels
+             if i > j and s.entry(i, j) != tableaux.supplementary_entry(t, i, j)),
+            None,
+        )
         if bad:
             break
     add("supplementary-direct", bad is None, counterexample=bad)
 
     # every recurrent configuration is a uniquely decorated tableau
-    seen = {}
+    seen = collections.Counter(c for _, _, c in decorated)
     bad = None
-    for t, deco in enumerate_canonical_decorated(d, budget):
-        c = tableaux.config_from_decorated(t, deco)
-        seen[c] = seen.get(c, 0) + 1
     if set(seen) != set(rec):
         bad = ("config sets differ", sorted(set(seen) ^ set(rec))[:3])
     elif any(k > 1 for k in seen.values()):
@@ -313,14 +314,8 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     # words with this descent-bottom set are exactly the tableau words
     if d.n <= 8:
         bad = None
-        class_words = set()
-        for p in itertools.permutations(range(1, d.n + 1)):
-            if permutations.shape_of_word(p) == d:
-                class_words.add(p)
-        tab_words = set()
-        for t in tabs:
-            w = permutations.from_tableau(t)
-            tab_words.add(w)
+        class_words = _words_by_shape(d.n).get(d, set())
+        for t, w in zip(tabs, words):
             if permutations.to_tableau(w) != t:
                 bad = ("tableau trip", t.row_strings())
                 break
@@ -329,8 +324,8 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
                 if permutations.from_tableau(permutations.to_tableau(w)) != w:
                     bad = ("word trip", w)
                     break
-        if bad is None and class_words != tab_words:
-            bad = ("word sets differ", sorted(class_words ^ tab_words)[:3])
+        if bad is None and class_words != set(words):
+            bad = ("word sets differ", sorted(class_words ^ set(words))[:3])
         add("word-descent-class", bad is None, counterexample=bad)
     else:
         add("word-descent-class", True, detail="skipped, n=%d > 8" % d.n)
@@ -338,38 +333,24 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     # trees: round trip every canonical decorated word, match levels to the
     # avalanche, and for small n recount intransitive trees independently
     bad = None
-    total = 0
-    for t, deco in enumerate_canonical_decorated(d, budget):
-        w = permutations.from_tableau(t)
-        total += 1
+    for w, deco, c in decorated:
         parents = trees.perm_to_tree(w, deco)
         if trees.tree_to_perm(parents) != (w, deco):
             bad = ("trip", w, deco)
             break
-        c = tableaux.config_from_decorated(t, deco)
         if trees.bfs_levels(parents) != sandpile.canonical_toppling(d, c):
             bad = ("levels", w, deco)
             break
-    if bad is None and total != len(rec):
-        bad = ("count", total, len(rec))
+    if bad is None and len(decorated) != len(rec):
+        bad = ("count", len(decorated), len(rec))
     add("tree-roundtrip", bad is None, counterexample=bad)
 
     if d.n <= 6:
-        wanted = sum(
-            1
-            for parents in _all_prufer_trees(d.n)
-            if _is_intransitive_naive(parents)
-        )
-        per_shape = {}
-        for p in itertools.permutations(range(1, d.n + 1)):
-            prod = 1
-            for b in permutations.canonical_bounds(p):
-                prod *= b
-            per_shape[p] = prod
+        intransitive, decorated_words = _tree_count(d.n)
         add(
             "tree-count",
-            wanted == sum(per_shape.values()),
-            detail="intransitive=%d decorated=%d" % (wanted, sum(per_shape.values())),
+            intransitive == decorated_words,
+            detail="intransitive=%d decorated=%d" % (intransitive, decorated_words),
         )
     else:
         add("tree-count", True, detail="skipped, n=%d > 6" % d.n)
@@ -379,15 +360,15 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     rng = random.Random(seed)
     bad = None
     c = rec[rng.randrange(len(rec))]
+    w, a = permutations.decorated_from_config(d, c)
     for _ in range(grain_steps):
         v = rng.randint(1, d.n)
         c2, _counts = sandpile.stabilize(d, _add_grain(c, v))
-        w, a = permutations.decorated_from_config(d, c)
         w2, a2 = permutations.stabilize(w, _add_grain(a, v))[:2]
         if (w2, a2) != permutations.decorated_from_config(d, c2):
             bad = (c, v)
             break
-        c = c2
+        c, w, a = c2, w2, a2
     add("grain-walk", bad is None, counterexample=bad)
 
     # toppling order must not matter
@@ -423,12 +404,12 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     bad = None
     for c in rec:
         lv = sandpile.level(d, c)
-        if lv < 0 or (lv == 0) != (c in set(minimal)):
+        if lv < 0 or (lv == 0) != (c in minimal):
             bad = (c, lv)
             break
     add("level", bad is None, counterexample=bad)
 
-    _reference_checks(d, add)
+    _reference_checks(d, rec, add)
 
     return {
         "shape": list(d.parts),
@@ -436,6 +417,30 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
         "pass": all(entry["pass"] for entry in report),
         "properties": report,
     }
+
+
+@functools.cache
+def _words_by_shape(n):
+    """Every permutation of 1..n, grouped by the shape of its descent
+    bottoms."""
+    out = {}
+    for p in itertools.permutations(range(1, n + 1)):
+        out.setdefault(permutations.shape_of_word(p), set()).add(p)
+    return out
+
+
+@functools.cache
+def _tree_count(n):
+    """(intransitive trees on {0..n}, canonically decorated words of
+    length n): Postnikov's count, each side by brute force."""
+    intransitive = sum(
+        1 for parents in _all_prufer_trees(n) if _is_intransitive_naive(parents)
+    )
+    decorated = sum(
+        math.prod(permutations.canonical_bounds(p))
+        for p in itertools.permutations(range(1, n + 1))
+    )
+    return intransitive, decorated
 
 
 def _all_prufer_trees(n):
@@ -485,8 +490,9 @@ def _is_intransitive_naive(parents):
     return True
 
 
-def _reference_checks(d, add):
-    """Fixed expectations for two shapes used as external anchors."""
+def _reference_checks(d, rec, add):
+    """Fixed expectations for two shapes used as external anchors; rec is
+    the shape's recurrent configurations."""
     if d.parts == (3, 2, 1):
         wanted = {
             (0, 0, 1, 0, 2),
@@ -494,8 +500,7 @@ def _reference_checks(d, add):
             (0, 1, 1, 0, 2),
             (0, 1, 1, 0, 1),
         }
-        got = set(enumerate_recurrent(d))
-        ok = got == wanted
+        ok = set(rec) == wanted
         if ok:
             w = permutations.word_from_config(d, (0, 0, 1, 0, 2))
             ok = w == (1, 3, 5, 4, 2)

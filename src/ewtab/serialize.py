@@ -49,10 +49,11 @@ def _load_json(data):
 
 
 def _int_list(values, what):
-    try:
-        return [int(v) for v in values]
-    except (TypeError, ValueError):
-        raise FormatError("%s must be a list of integers" % what) from None
+    """A JSON list of JSON integers, taken as it is: floats, booleans and
+    strings are refused rather than converted."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise FormatError("%s must be a list of integers" % what)
+    return values
 
 
 def _split_ints(text, what):

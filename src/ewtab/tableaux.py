@@ -187,38 +187,25 @@ def canonical_toppling(t):
     columns that became all 0s, set them to 1; repeat until every label is
     recorded. Already-recorded rows and columns are ignored by the scans.
     Equals the sandpile canonical toppling of minimal_config(t).
+    On bitmasks, with the filling never rewritten: an unrecorded row is
+    ready once its 0s lie in recorded columns, an unrecorded column once
+    its 1s lie in recorded rows.
     """
     d = t.diagram
-    work = [list(row) for row in t.rows]
-    rec_rows = set()
-    rec_cols = set()
+    rows = [_mask(row) for row in t.rows]
+    zeros = [((1 << p) - 1) & ~r for p, r in zip(d.parts, rows)]
+    cols = [_mask((r >> x) & 1 for r in rows) for x in range(d.parts[0])]
+    todo_rows, todo_cols = (1 << len(rows)) - 1, (1 << d.parts[0]) - 1
     blocks = []
-    total = len(d.row_labels) + len(d.col_labels)
-    while len(rec_rows) + len(rec_cols) < total:
-        ready_rows = [
-            d.row_labels[i]
-            for i in range(len(work))
-            if d.row_labels[i] not in rec_rows and all(b == 1 for b in work[i])
-        ]
+    while todo_rows or todo_cols:
+        ready_rows = [i for i in _bits(todo_rows) if not zeros[i] & todo_cols]
         if ready_rows:
-            blocks.append(tuple(sorted(ready_rows)))
-            for v in ready_rows:
-                rec_rows.add(v)
-                i = d.row_index(v)
-                work[i] = [0] * len(work[i])
-        ready_cols = [
-            d.col_labels[x]
-            for x in range(d.parts[0])
-            if d.col_labels[x] not in rec_cols
-            and all(work[i][x] == 0 for i in range(d.col_height(x)))
-        ]
+            blocks.append(tuple(sorted(d.row_labels[i] for i in ready_rows)))
+            todo_rows &= ~sum(1 << i for i in ready_rows)
+        ready_cols = [x for x in _bits(todo_cols) if not cols[x] & todo_rows]
         if ready_cols:
-            blocks.append(tuple(sorted(ready_cols)))
-            for v in ready_cols:
-                rec_cols.add(v)
-                x = d.col_index(v)
-                for i in range(d.col_height(x)):
-                    work[i][x] = 1
+            blocks.append(tuple(sorted(d.col_labels[x] for x in ready_cols)))
+            todo_cols &= ~sum(1 << x for x in ready_cols)
         if not ready_rows and not ready_cols:
             raise DomainError("not an EW-tableau: toppling scan stalls")
     if blocks[0] != (0,):

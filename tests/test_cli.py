@@ -240,6 +240,21 @@ def test_exit_code_budget_error(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+def test_exit_code_malformed_budget(capsys, monkeypatch):
+    monkeypatch.setenv("EWTAB_ORACLE_BUDGET", "abc")
+    code, out, err = run(capsys, "enumerate", "--shape", "3,2,1", "--kind",
+                         "stable")
+    assert code == 2
+    assert err.startswith("error:") and "EWTAB_ORACLE_BUDGET" in err
+
+
+def test_convert_rejects_float_letters(capsys):
+    code, out, err = run(capsys, "convert", "--from", "perm", "--to",
+                         "config", "--data", '{"perm": [1.9, 2, 3]}')
+    assert code == 2
+    assert out == ""
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "perm.txt"
     code, out, err = run(capsys, "convert", "--from", "config", "--to",

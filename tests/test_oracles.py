@@ -5,8 +5,8 @@ import math
 import pytest
 
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
-from ewtab.errors import BudgetError
-from ewtab import oracles
+from ewtab.errors import BudgetError, FormatError
+from ewtab import oracles, permutations
 
 
 def test_enumerate_stable_counts(d321, d22):
@@ -87,6 +87,12 @@ def test_budget_env_override(monkeypatch, d321):
     assert len(list(oracles.enumerate_stable(d321))) == 12
 
 
+def test_budget_env_malformed(monkeypatch, d321):
+    monkeypatch.setenv("EWTAB_ORACLE_BUDGET", "abc")
+    with pytest.raises(FormatError, match="EWTAB_ORACLE_BUDGET"):
+        oracles.enumerate_stable(d321)
+
+
 def test_certify_small_shapes():
     for m in range(2, 6):
         for d in enumerate_diagrams(m):
@@ -131,3 +137,36 @@ def test_certify_is_deterministic(d321):
     a = oracles.certify_shape(d321, grain_steps=25, seed=3)
     b = oracles.certify_shape(d321, grain_steps=25, seed=3)
     assert a == b
+
+
+def test_certify_tree_count_at_n6():
+    # intransitive trees on {0..6}, OEIS A007889
+    rep = oracles.certify_shape(FerrersDiagram((4, 3, 2)), grain_steps=5)
+    assert rep["n"] == 6
+    assert {"name": "tree-count", "pass": True,
+            "detail": "intransitive=2104 decorated=2104"} in rep["properties"]
+
+
+def test_certify_size_checks_run_once_per_n(monkeypatch):
+    oracles._words_by_shape.cache_clear()
+    oracles._tree_count.cache_clear()
+    calls = {"trees": 0, "shape_of_word": 0}
+    all_trees = oracles._all_prufer_trees
+    shape_of_word = permutations.shape_of_word
+
+    def counted_trees(n):
+        calls["trees"] += 1
+        return all_trees(n)
+
+    def counted_shape_of_word(word):
+        calls["shape_of_word"] += 1
+        return shape_of_word(word)
+
+    monkeypatch.setattr(oracles, "_all_prufer_trees", counted_trees)
+    monkeypatch.setattr(permutations, "shape_of_word", counted_shape_of_word)
+    first, second = FerrersDiagram((3, 2, 1)), FerrersDiagram((4, 2))
+    assert first.n == second.n == 5
+    assert oracles.certify_shape(first, grain_steps=5)["pass"]
+    assert calls == {"trees": 1, "shape_of_word": math.factorial(5)}
+    assert oracles.certify_shape(second, grain_steps=5)["pass"]
+    assert calls == {"trees": 1, "shape_of_word": math.factorial(5)}

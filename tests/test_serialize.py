@@ -196,3 +196,21 @@ def test_tree_rejects_bad_text():
         serialize.parse_tree(".,x")
     with pytest.raises(FormatError):
         serialize.parse_tree('{"parent": [0, 1]}')
+
+
+@pytest.mark.parametrize("parse, data", [
+    (serialize.parse_shape, '{"parts": [3.0, 2]}'),
+    (serialize.parse_shape, '{"parts": [true, 1]}'),
+    (serialize.parse_shape, '{"parts": "32"}'),
+    (serialize.parse_config, '{"shape": [2, 2], "heights": [0.5, 0, 0]}'),
+    (serialize.parse_config, '{"shape": [2, 2], "heights": "100"}'),
+    (serialize.parse_perm, '{"perm": [1.9, 2, 3]}'),
+    (serialize.parse_perm, '{"perm": "123"}'),
+    (serialize.parse_perm, '{"perm": [1, 2, 3], "decorations": [0, false, 0]}'),
+    (serialize.parse_tableau, '{"rows": ["11", "10"], "decorations": [0, 0, "1"]}'),
+    (serialize.parse_tree, '{"parent": [null, 0, 1.0]}'),
+    (serialize.parse_tree, '{"parent": [null, "0", 1]}'),
+])
+def test_json_integer_fields_take_only_integers(parse, data):
+    with pytest.raises(FormatError, match="list of integers"):
+        parse(data)

@@ -55,6 +55,46 @@ def reference_corner_support(t):
     return out
 
 
+def reference_toppling(t):
+    """The toppling scan on a list copy of the filling: record the all-1s
+    rows and zero them, then the all-0s columns and fill them with 1s,
+    until every label is recorded."""
+    d = t.diagram
+    work = [list(row) for row in t.rows]
+    rec_rows, rec_cols, blocks = set(), set(), []
+    while len(rec_rows) + len(rec_cols) < d.n + 1:
+        ready_rows = [v for i, v in enumerate(d.row_labels)
+                      if v not in rec_rows and all(work[i])]
+        if ready_rows:
+            blocks.append(tuple(sorted(ready_rows)))
+            for v in ready_rows:
+                rec_rows.add(v)
+                i = d.row_index(v)
+                work[i] = [0] * len(work[i])
+        ready_cols = [v for x, v in enumerate(d.col_labels)
+                      if v not in rec_cols
+                      and not any(work[i][x] for i in range(d.col_height(x)))]
+        if ready_cols:
+            blocks.append(tuple(sorted(ready_cols)))
+            for v in ready_cols:
+                rec_cols.add(v)
+                x = d.col_index(v)
+                for i in range(d.col_height(x)):
+                    work[i][x] = 1
+        if not ready_rows and not ready_cols:
+            raise DomainError("not an EW-tableau: toppling scan stalls")
+    if blocks[0] != (0,):
+        raise DomainError("not an EW-tableau: a non-top row starts all 1s")
+    return tuple(blocks)
+
+
+def toppling_or_error(toppling, t):
+    try:
+        return toppling(t)
+    except DomainError as e:
+        return str(e)
+
+
 def reference_rectangles(t):
     """The rectangle entries of validate, by the literal scan of every
     pair of rows and every pair of columns."""
@@ -203,6 +243,32 @@ def test_canonical_toppling_rejects_invalid():
         tableaux.canonical_toppling(tab((2, 2), "11", "11"))
     with pytest.raises(DomainError):
         tableaux.canonical_toppling(tab((2, 2, 2), "11", "01", "10"))
+
+
+def test_canonical_toppling_matches_list_scan_on_random_fillings():
+    rng = random.Random(5)
+    for m in range(2, 10):
+        shapes = enumerate_diagrams(m)
+        for _ in range(150):
+            d = rng.choice(shapes)
+            density = rng.random()
+            rows = [[int(rng.random() < density) for _ in range(p)]
+                    for p in d.parts]
+            if rng.random() < 0.5:
+                rows[0] = [1] * d.parts[0]
+            t = EWTableau(d, rows)
+            assert toppling_or_error(tableaux.canonical_toppling, t) == (
+                toppling_or_error(reference_toppling, t)), (d.parts, rows)
+
+
+@pytest.mark.parametrize("d", [staircase(32), FerrersDiagram((20,) * 20)],
+                         ids=["staircase-32", "rectangle-20x20"])
+def test_canonical_toppling_beyond_enumeration(d):
+    for c in recurrent_configs(d, seed=d.n, count=6):
+        t, _ = tableaux.decorated_from_config(d, c)
+        blocks = sandpile.canonical_toppling(d, c)
+        assert tableaux.canonical_toppling(t) == blocks
+        assert reference_toppling(t) == blocks
 
 
 def test_supplementary_example():
