@@ -134,15 +134,11 @@ def _cmd_graph(args, out):
     }
     if args.format == "json":
         out.write(json.dumps(info) + "\n")
-    else:
-        out.write("shape: %s\n" % serialize.shape_to_text(d))
-        out.write("semiperimeter: %d\n" % info["semiperimeter"])
-        out.write("n: %d\n" % info["n"])
-        out.write("rows: %s\n" % ",".join(str(v) for v in info["rows"]))
-        out.write("cols: %s\n" % ",".join(str(v) for v in info["cols"]))
-        out.write("degrees: %s\n" % ",".join(str(v) for v in info["degrees"]))
-        out.write("edges: %d\n" % info["edges"])
-        out.write("spanning-trees: %d\n" % info["spanning_trees"])
+        return 0
+    for key, value in info.items():
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        out.write("%s: %s\n" % (key.replace("_", "-"), value))
     return 0
 
 
@@ -287,33 +283,28 @@ def _cmd_stabilize(args, out):
 def _cmd_enumerate(args, out):
     _need_text_or_json(args)
     d = serialize.parse_shape(args.shape)
-    count = 0
-    if args.kind in ("stable", "recurrent", "minimal"):
-        gen = {
+    if args.kind in ("tableaux", "decorated"):
+        if args.kind == "tableaux":
+            items = ((t, None) for t in oracles.enumerate_tableaux(d))
+        else:
+            items = oracles.enumerate_canonical_decorated(d)
+        to_text, to_json = serialize.tableau_to_text, serialize.tableau_to_json
+    else:
+        configs = {
             "stable": oracles.enumerate_stable,
             "recurrent": oracles.enumerate_recurrent,
             "minimal": oracles.enumerate_minimal,
         }[args.kind](d)
-        for c in gen:
-            count += 1
-            if args.format == "json":
-                out.write(json.dumps(serialize.config_to_json(d, c)) + "\n")
-            else:
-                out.write(serialize.config_to_text(c) + "\n")
-    elif args.kind == "tableaux":
-        for t in oracles.enumerate_tableaux(d):
-            count += 1
-            if args.format == "json":
-                out.write(json.dumps(serialize.tableau_to_json(t)) + "\n")
-            else:
-                out.write(serialize.tableau_to_text(t) + "\n")
-    else:
-        for t, deco in oracles.enumerate_canonical_decorated(d):
-            count += 1
-            if args.format == "json":
-                out.write(json.dumps(serialize.tableau_to_json(t, deco)) + "\n")
-            else:
-                out.write(serialize.tableau_to_text(t, deco) + "\n")
+        items = ((c, None) for c in configs)
+        to_text = lambda c, _: serialize.config_to_text(c)
+        to_json = lambda c, _: serialize.config_to_json(d, c)
+    line = to_text if args.format == "text" else (
+        lambda obj, deco: json.dumps(to_json(obj, deco))
+    )
+    count = 0
+    for obj, deco in items:
+        out.write(line(obj, deco) + "\n")
+        count += 1
     if args.format == "json":
         out.write(json.dumps({"count": count}) + "\n")
     else:

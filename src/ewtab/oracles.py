@@ -150,14 +150,10 @@ def enumerate_tableaux(diagram, budget=None):
 
 def enumerate_canonical_decorated(diagram, budget=None):
     """All (tableau, decorations) pairs with canonical decorations."""
-
-    def gen():
-        for t in enumerate_tableaux(diagram, budget):
-            bounds = tableaux.canonical_bounds(t)
-            for deco in itertools.product(*[range(b) for b in bounds]):
-                yield t, deco
-
-    return gen()
+    for t in enumerate_tableaux(diagram, budget):
+        bounds = tableaux.canonical_bounds(t)
+        for deco in itertools.product(*[range(b) for b in bounds]):
+            yield t, deco
 
 
 def _add_grain(heights, v):

@@ -95,54 +95,13 @@ def stabilize(diagram, heights):
             return tuple(heights), counts
 
 
-def burning_order(diagram, heights):
-    """Order in which vertices burn after the sink topples, or None if the
-    avalanche stalls (the configuration is not recurrent). Input must be
-    stable. Vertices are scanned in ascending order in every round."""
+def _avalanche(diagram, heights, what):
+    """The canonical blocks of stable heights (see canonical_toppling), or
+    None when the avalanche stalls; `what` names the caller's test in the
+    error raised for unstable heights."""
     heights = _check_config(diagram, heights)
     if not is_stable(diagram, heights):
-        raise DomainError("burning test needs a stable configuration")
-    n = diagram.n
-    degs = diagram.degrees
-    work = list(heights)
-    for u in diagram.neighbors(0):
-        work[u - 1] += 1
-    burned = [False] * (n + 1)
-    burned[0] = True
-    order = []
-    progress = True
-    while progress:
-        progress = False
-        for v in range(1, n + 1):
-            if not burned[v] and work[v - 1] >= degs[v - 1]:
-                burned[v] = True
-                order.append(v)
-                work[v - 1] -= degs[v - 1]
-                for u in diagram.neighbors(v):
-                    if u != 0:
-                        work[u - 1] += 1
-                progress = True
-    if len(order) == n and tuple(work) == heights:
-        return order
-    return None
-
-
-def is_recurrent(diagram, heights):
-    return burning_order(diagram, heights) is not None
-
-
-def canonical_toppling(diagram, heights):
-    """Block structure of the canonical avalanche of a recurrent
-    configuration.
-
-    The sink topples first, then repeatedly every currently-unstable vertex
-    topples simultaneously as one block. Because the graph is bipartite the
-    blocks alternate between column-side and row-side vertices. Returns a
-    tuple of sorted tuples starting with (0,).
-    """
-    heights = _check_config(diagram, heights)
-    if not is_stable(diagram, heights):
-        raise DomainError("canonical toppling needs a stable configuration")
+        raise DomainError("%s needs a stable configuration" % what)
     n = diagram.n
     degs = diagram.degrees
     work = list(heights)
@@ -159,7 +118,7 @@ def canonical_toppling(diagram, heights):
             if not toppled[v] and work[v - 1] >= degs[v - 1]
         ]
         if not block:
-            raise DomainError("configuration is not recurrent: avalanche stalls")
+            return None
         for v in block:
             toppled[v] = True
             work[v - 1] -= degs[v - 1]
@@ -171,6 +130,33 @@ def canonical_toppling(diagram, heights):
     if tuple(work) != heights:
         raise RuntimeError("avalanche of %r did not return to the start" % (heights,))
     return tuple(blocks)
+
+
+def burning_order(diagram, heights):
+    """Order in which vertices burn after the sink topples, or None if the
+    avalanche stalls (the configuration is not recurrent). Input must be
+    stable. The order is the canonical blocks after the sink, in turn."""
+    blocks = _avalanche(diagram, heights, "burning test")
+    return None if blocks is None else [v for block in blocks[1:] for v in block]
+
+
+def is_recurrent(diagram, heights):
+    return _avalanche(diagram, heights, "burning test") is not None
+
+
+def canonical_toppling(diagram, heights):
+    """Block structure of the canonical avalanche of a recurrent
+    configuration.
+
+    The sink topples first, then repeatedly every currently-unstable vertex
+    topples simultaneously as one block. Because the graph is bipartite the
+    blocks alternate between column-side and row-side vertices. Returns a
+    tuple of sorted tuples starting with (0,).
+    """
+    blocks = _avalanche(diagram, heights, "canonical toppling")
+    if blocks is None:
+        raise DomainError("configuration is not recurrent: avalanche stalls")
+    return blocks
 
 
 def level(diagram, heights):

@@ -63,6 +63,20 @@ def _split_ints(text, what):
         raise FormatError("cannot read %s from %r" % (what, text)) from None
 
 
+def _int(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError("cannot read %s from %r" % (what, text)) from None
+
+
+def _count(values, n, what):
+    """values as a tuple, when there are exactly n of them."""
+    if len(values) != n:
+        raise FormatError("expected %d %s, got %d" % (n, what, len(values)))
+    return tuple(values)
+
+
 def _build(fn, *args):
     """Constructing an object from parsed pieces can still fail (bad shape,
     rows that do not fit); surface that as a format problem."""
@@ -119,9 +133,7 @@ def parse_config(data, diagram=None):
             raise FormatError("plain-text heights need an explicit shape")
         d = diagram
         heights = _split_ints(data, "heights")
-    if len(heights) != d.n:
-        raise FormatError("expected %d heights, got %d" % (d.n, len(heights)))
-    return d, tuple(heights)
+    return d, _count(heights, d.n, "heights")
 
 
 def config_to_text(heights):
@@ -151,9 +163,10 @@ def parse_tableau(data):
         obj = _load_json(data)
         if "rows" not in obj:
             raise FormatError("tableau object needs a 'rows' field")
-        if not isinstance(obj["rows"], list):
+        rows = obj["rows"]
+        if not isinstance(rows, list) or any(type(r) is not str for r in rows):
             raise FormatError("'rows' must be a list of 0/1 strings")
-        rows = [_parse_bits(str(r)) for r in obj["rows"]]
+        rows = [_parse_bits(r) for r in rows]
         if "shape" in obj:
             d = _build(FerrersDiagram, _int_list(obj["shape"], "shape"))
             if tuple(len(r) for r in rows) != d.parts:
@@ -162,25 +175,17 @@ def parse_tableau(data):
             d = _rows_to_diagram(rows)
         deco = obj.get("decorations")
         if deco is not None:
-            deco = tuple(_int_list(deco, "decorations"))
-            if len(deco) != d.n:
-                raise FormatError(
-                    "expected %d decorations, got %d" % (d.n, len(deco))
-                )
+            deco = _count(_int_list(deco, "decorations"), d.n, "decorations")
         return _build(EWTableau, d, rows), deco
     text = data.strip()
     if "\n" in text:
         return _parse_tableau_pretty(text)
-    deco = None
-    if "^" in text:
-        text, _, tail = text.partition("^")
-        deco = tuple(_split_ints(tail, "decorations"))
+    text, caret, tail = text.partition("^")
+    deco = _split_ints(tail, "decorations") if caret else None
     rows = [_parse_bits(part) for part in text.strip().split("/")]
     t = _build(EWTableau, _build(_rows_to_diagram, rows), rows)
-    if deco is not None and len(deco) != t.diagram.n:
-        raise FormatError(
-            "expected %d decorations, got %d" % (t.diagram.n, len(deco))
-        )
+    if deco is not None:
+        deco = _count(deco, t.diagram.n, "decorations")
     return t, deco
 
 
@@ -194,7 +199,7 @@ def _parse_tableau_pretty(text):
     for ln in lines:
         bits, _, tail = ln.partition("^")
         rows.append(_parse_bits(bits.strip()))
-        row_decos.append(int(tail) if tail.strip() else None)
+        row_decos.append(_int(tail, "row decoration") if tail.strip() else None)
     d = _build(_rows_to_diagram, rows)
     t = _build(EWTableau, d, rows)
     any_deco = col_line is not None or any(a is not None for a in row_decos[1:])
@@ -207,10 +212,7 @@ def _parse_tableau_pretty(text):
     if any(a is None for a in row_decos[1:]):
         raise FormatError("every non-top row needs a decoration")
     col_decos = _split_ints(col_line[1:], "column decorations")
-    if len(col_decos) != d.parts[0]:
-        raise FormatError(
-            "expected %d column decorations, got %d" % (d.parts[0], len(col_decos))
-        )
+    col_decos = _count(col_decos, d.parts[0], "column decorations")
     deco = [0] * d.n
     for i, label in enumerate(d.row_labels):
         if label != 0:
@@ -259,16 +261,9 @@ def parse_perm(data):
             raise FormatError("permutation object needs a 'perm' field")
         word = _check_perm(tuple(_int_list(obj["perm"], "perm")))
         deco = obj.get("decorations")
-        deco = (
-            tuple(_int_list(deco, "decorations"))
-            if deco is not None
-            else (0,) * len(word)
-        )
-        if len(deco) != len(word):
-            raise FormatError(
-                "expected %d decorations, got %d" % (len(word), len(deco))
-            )
-        return word, deco
+        if deco is None:
+            return word, (0,) * len(word)
+        return word, _count(_int_list(deco, "decorations"), len(word), "decorations")
     text = data.strip()
     if not text:
         raise FormatError("empty permutation")

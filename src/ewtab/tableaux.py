@@ -13,6 +13,8 @@ including pairs without a cell, as a full rectangular 0/1 grid whose
 restriction to the shape is the tableau itself.
 """
 
+from functools import cached_property
+
 from .errors import DomainError
 from . import sandpile
 
@@ -71,6 +73,10 @@ class EWTableau:
 
     def row_strings(self):
         return tuple("".join(str(b) for b in row) for row in self.rows)
+
+    @cached_property
+    def _blocks(self):  # the filling never changes, so this scans once
+        return _toppling_scan(self)
 
     def __eq__(self, other):
         return (
@@ -186,11 +192,16 @@ def canonical_toppling(t):
     Record the all-1s rows (the top row first), zero them out; record the
     columns that became all 0s, set them to 1; repeat until every label is
     recorded. Already-recorded rows and columns are ignored by the scans.
-    Equals the sandpile canonical toppling of minimal_config(t).
-    On bitmasks, with the filling never rewritten: an unrecorded row is
-    ready once its 0s lie in recorded columns, an unrecorded column once
-    its 1s lie in recorded rows.
+    Equals the sandpile canonical toppling of minimal_config(t). Each
+    tableau runs the scan once and keeps its blocks.
     """
+    return t._blocks
+
+
+def _toppling_scan(t):
+    # On bitmasks, with the filling never rewritten: an unrecorded row is
+    # ready once its 0s lie in recorded columns, an unrecorded column once
+    # its 1s lie in recorded rows.
     d = t.diagram
     rows = [_mask(row) for row in t.rows]
     zeros = [((1 << p) - 1) & ~r for p, r in zip(d.parts, rows)]

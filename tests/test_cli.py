@@ -25,6 +25,21 @@ def test_graph_text(capsys):
     assert "spanning-trees: 4" in lines
 
 
+def test_graph_text_exact(capsys):
+    code, out, err = run(capsys, "graph", "--shape", "5,3,3,2")
+    assert code == 0
+    assert out == (
+        "shape: 5,3,3,2\n"
+        "semiperimeter: 9\n"
+        "n: 8\n"
+        "rows: 0,3,4,6\n"
+        "cols: 8,7,5,2,1\n"
+        "degrees: 1,1,3,3,3,2,4,4\n"
+        "edges: 13\n"
+        "spanning-trees: 216\n"
+    )
+
+
 def test_graph_json(capsys):
     code, out, err = run(capsys, "graph", "--shape", "3,2,1",
                          "--format", "json")
@@ -182,6 +197,25 @@ def test_enumerate_json(capsys):
     assert json.loads(lines[-1]) == {"count": 4}
 
 
+def test_enumerate_tableaux_json_exact(capsys):
+    code, out, err = run(capsys, "enumerate", "--shape", "3,2,1", "--kind",
+                         "tableaux", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"shape": [3, 2, 1], "rows": ["111", "00", "0"]}\n'
+        '{"shape": [3, 2, 1], "rows": ["111", "01", "0"]}\n'
+        '{"shape": [3, 2, 1], "rows": ["111", "10", "0"]}\n'
+        '{"count": 3}\n'
+    )
+
+
+def test_enumerate_minimal_exact(capsys):
+    code, out, err = run(capsys, "enumerate", "--shape", "3,2,1", "--kind",
+                         "minimal")
+    assert code == 0
+    assert out == "0,0,1,0,2\n0,1,0,0,2\n0,1,1,0,1\ncount: 3\n"
+
+
 def test_enumerate_kinds_count(capsys):
     for kind, count in [("stable", 12), ("minimal", 3), ("tableaux", 3)]:
         code, out, err = run(capsys, "enumerate", "--shape", "3,2,1",
@@ -252,6 +286,22 @@ def test_convert_rejects_float_letters(capsys):
     code, out, err = run(capsys, "convert", "--from", "perm", "--to",
                          "config", "--data", '{"perm": [1.9, 2, 3]}')
     assert code == 2
+    assert out == ""
+
+
+def test_convert_rejects_unreadable_row_decoration(capsys):
+    code, out, err = run(capsys, "convert", "--from", "tableau", "--to",
+                         "perm", "--data", "11\n0 ^x\n^ 0 0")
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
+def test_convert_rejects_numbers_as_tableau_rows(capsys):
+    code, out, err = run(capsys, "convert", "--from", "tableau", "--to",
+                         "perm", "--data", '{"rows": [11, 10]}')
+    assert code == 2
+    assert err.startswith("error:")
     assert out == ""
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
 from ewtab.errors import DomainError
-from ewtab import sandpile
+from ewtab import oracles, sandpile
 
 
 def test_is_stable(d321):
@@ -58,6 +58,34 @@ def test_is_recurrent(d321):
     assert sandpile.is_recurrent(d321, (0, 1, 1, 0, 2))
     assert sandpile.is_recurrent(d321, (0, 0, 1, 0, 2))
     assert not sandpile.is_recurrent(d321, (0, 0, 1, 0, 1))
+
+
+def test_burning_order_is_the_canonical_blocks_in_turn():
+    # every shape of semiperimeter <= 6; recurrence decided independently
+    seen = 0
+    for m in range(2, 7):
+        for d in enumerate_diagrams(m):
+            for c in oracles.enumerate_recurrent(d):
+                seen += 1
+                order = sandpile.burning_order(d, c)
+                blocks = sandpile.canonical_toppling(d, c)
+                assert order == [v for block in blocks[1:] for v in block]
+                work = sandpile.topple(d, c, 0)
+                for v in order:
+                    work = sandpile.topple(d, work, v)
+                assert work == c, (d.parts, c)
+    assert seen == 292
+
+
+def test_is_recurrent_agrees_with_independent_burning():
+    seen = 0
+    for m in range(2, 7):
+        for d in enumerate_diagrams(m):
+            for c in oracles.enumerate_stable(d):
+                seen += 1
+                assert sandpile.is_recurrent(d, c) == (
+                    oracles._burns_completely(d, c)), (d.parts, c)
+    assert seen == 846
 
 
 def test_canonical_toppling_5332(d5332):

@@ -271,6 +271,26 @@ def test_canonical_toppling_beyond_enumeration(d):
         assert reference_toppling(t) == blocks
 
 
+def test_toppling_scan_runs_once_per_tableau(monkeypatch, d5332):
+    scan = tableaux._toppling_scan
+    calls = []
+
+    def counting_scan(t):
+        calls.append(t)
+        return scan(t)
+
+    monkeypatch.setattr(tableaux, "_toppling_scan", counting_scan)
+    t = EWTableau(d5332, ((1, 1, 1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 1)))
+    tableaux.canonical_bounds(t)
+    tableaux.supplementary(t)
+    tableaux.stable_bounds(t)
+    tableaux.classify_decoration(t, (0,) * d5332.n)
+    permutations.from_tableau(t)
+    assert tableaux.canonical_toppling(t) == (
+        (0,), (1, 2, 8), (4, 6), (5,), (3,), (7,))
+    assert calls == [t]
+
+
 def test_supplementary_example():
     t = tab((5, 3, 3, 2), "11111", "101", "001", "00")
     s = tableaux.supplementary(t)
