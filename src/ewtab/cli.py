@@ -314,16 +314,23 @@ def _cmd_enumerate(args, out):
 
 def _cmd_certify(args, out):
     _need_text_or_json(args)
+    if args.grain_steps < 0:
+        raise FormatError("--grain-steps must be non-negative")
     if args.shape:
         shapes = [serialize.parse_shape(args.shape)]
     else:
         if args.semiperimeter_max < 2:
             raise DomainError("--semiperimeter-max must be at least 2")
-        shapes = []
-        for m in range(2, args.semiperimeter_max + 1):
-            shapes.extend(enumerate_diagrams(m))
-    failures = 0
+        # one semiperimeter at a time: a sweep can stop at the first shape
+        # over the budget without listing every larger shape first
+        shapes = (
+            d
+            for m in range(2, args.semiperimeter_max + 1)
+            for d in enumerate_diagrams(m)
+        )
+    count = failures = 0
     for d in shapes:
+        count += 1
         report = oracles.certify_shape(
             d, grain_steps=args.grain_steps, seed=args.seed
         )
@@ -343,7 +350,7 @@ def _cmd_certify(args, out):
             )
     if args.format == "text":
         out.write(
-            "certified %d shapes, %d failing\n" % (len(shapes), failures)
+            "certified %d shapes, %d failing\n" % (count, failures)
         )
     return 4 if failures else 0
 

@@ -13,6 +13,7 @@ edge between row i and column j exactly when the cell in row i and column j
 belongs to the diagram, which happens exactly when i < j.
 """
 
+import bisect
 from functools import cached_property
 
 from .errors import DomainError
@@ -189,13 +190,14 @@ class FerrersDiagram:
         so the shape is determined by which labels are rows. Label 0 must be
         a row and label n must be a column.
         """
-        rows = sorted(set(rows))
+        row_set = set(rows)
+        rows = sorted(row_set)
         if not rows or rows[0] != 0:
             raise DomainError("label 0 must be a row")
-        if rows[-1] > n or n in rows:
+        if rows[-1] > n or n in row_set:
             raise DomainError("label %d must be a column" % n)
-        cols = [v for v in range(n + 1) if v not in set(rows)]
-        parts = [sum(1 for c in cols if c > r) for r in rows]
+        cols = [v for v in range(n + 1) if v not in row_set]
+        parts = [len(cols) - bisect.bisect_right(cols, r) for r in rows]
         diagram = cls(parts)
         if diagram.row_labels != tuple(rows):
             raise DomainError("rows %r do not label the rows of %r" % (rows, diagram.parts))

@@ -19,7 +19,7 @@ import math
 import os
 import random
 
-from .errors import BudgetError, FormatError
+from .errors import BudgetError, DomainError, FormatError
 from . import sandpile
 from . import tableaux
 from . import permutations
@@ -191,6 +191,8 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     shape; the checks over all words and trees of size n run once per n
     in a process.
     """
+    if grain_steps < 0:
+        raise DomainError("grain_steps must be non-negative, got %d" % grain_steps)
     d = diagram
     report = []
 

@@ -176,100 +176,99 @@ def config_from_decorated(word, decorations):
 def stabilize(word, decorations, trace=False):
     """Stabilize a decorated word without touching the graph.
 
-    The state is two lists: pos[x], the block of every letter x (the sink
-    block is 0, so the first ascending block is 1), and the decorations.
-    Every pass groups the letters into blocks by pos, takes each letter's
-    bound from the block core (1 in the first block, for the sink; 0 behind
-    a block that has emptied) and writes the word from the blocks.
+    The state is the decorations and one bitmask per block, the sink block
+    {0} first. A letter's witnesses are the letters of the previous block
+    that it beats: the smaller ones from an ascending (odd) block, the
+    larger ones from a descending (even) block. Its bound is their number
+    (1 in the first block, for the sink; 0 behind an emptied block).
 
-    Repeatedly: settle the leftmost letter at or over its bound that sits
-    beyond the first block of its kind (pos[x] -= 2, one grain to each
-    witness); once none remain, collect the first-block letters at or over
-    their bounds (these are exactly the unstable vertices of the encoded
-    configuration) and topple each in left-to-right order. A toppled letter
-    jumps behind the last block of the other kind that holds a letter it
-    beats; when the first descending block empties, the blocks behind it
-    move up by two. Stops when neither kind of move exists; the result is a
-    canonically decorated word encoding the graph stabilization of the
-    input configuration.
+    Repeatedly: settle the leftmost letter at or over its bound beyond the
+    first block of its kind (two blocks towards the front, one grain to
+    each witness); once none remain, topple the first-block letters at or
+    over their bounds (exactly the unstable vertices of the encoded
+    configuration) in word order. A toppled letter pays its witnesses and
+    jumps behind the last block of the other kind holding a letter it
+    beats; when the first descending block empties, the next block joins
+    the first and the later ones move up by two. Stops when neither move
+    exists, with the canonically decorated word of the graph stabilization.
 
     Returns (word, decorations), or (word, decorations, trace) with trace a
-    list of {action, letter, word, decorations} snapshots taken after each
-    settle or topple.
+    list of {action, letter, word, decorations} snapshots after each move.
     """
     word = _check_word(word)
     n = len(word)
     deco = list(sandpile.check_counts(decorations, n, "decorations"))
-    pos = [0] * (n + 1)
-    for k, block in enumerate(_runs(word)):
-        for x in block:
-            pos[x] = k
+    masks = [sandpile._mask(block) for block in _runs(word)]
     events = []
     cap = 10_000 + 40 * (n + 2) ** 3 * (sum(deco) + n + 2)
-    steps = 0
 
-    def layout():
-        """The blocks of pos, each sorted, their bounds and their word."""
-        blocks = [[] for _ in range(max(pos) + 1)]
-        for x, k in enumerate(pos):
-            blocks[k].append(x)
-        return blocks, sandpile.canonical_bounds_from_blocks(blocks), _write(blocks)
+    def beaten(x, k, j):
+        """The letters of block j that x beats from a block of k's kind."""
+        return masks[j] & ((1 << x) - 1) if k % 2 else masks[j] >> (x + 1) << (x + 1)
 
-    def pay(blocks, x, bound):
-        """x hands one grain to each of its bound witnesses: the letters of
-        the previous block on its own side of it (the sink, which keeps no
-        grain, for the first block)."""
+    def ready(positions):
+        """(x, k) per letter x of the blocks k at or over its bound, in order."""
+        for k in positions:
+            for x in in_block_order(sandpile._bits(masks[k]), k):
+                if deco[x - 1] >= beaten(x, k, k - 1).bit_count():
+                    yield x, k
+
+    def pay(x, k):
+        """x, in block k, hands one grain to each of its witnesses."""
+        witnesses = beaten(x, k, k - 1)
+        bound = witnesses.bit_count()
         if deco[x - 1] < bound:
             raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, bound))
         deco[x - 1] -= bound
-        for w in in_block_order(blocks[pos[x] - 1], pos[x])[:bound]:
-            if w:
-                deco[w - 1] += 1
+        for w in sandpile._bits(witnesses & ~1):  # the sink keeps no grain
+            deco[w - 1] += 1
 
-    def record(action, letter, word):
+    def written():
+        return _write([list(sandpile._bits(m)) for m in masks])
+
+    def record(action, letter):
         if trace:
             events.append(
                 {
                     "action": action,
                     "letter": letter,
-                    "word": word,
+                    "word": written(),
                     "decorations": tuple(deco),
                 }
             )
 
-    blocks, bound, out = layout()
-    while True:
-        steps += 1
-        if steps >= cap:
-            raise RuntimeError("stabilization exceeded its iteration budget")
-        x = next(
-            (x for x in out if pos[x] >= 3 and deco[x - 1] >= bound[x - 1]), None
-        )
-        if x is not None:
-            pay(blocks, x, bound[x - 1])
-            pos[x] -= 2
-            blocks, bound, out = layout()
-            record("settle", x, out)
+    for _ in range(cap - 1):
+        settle = next(ready(range(3, len(masks))), None)
+        if settle is not None:
+            x, k = settle
+            pay(x, k)
+            masks[k] ^= 1 << x
+            masks[k - 2] |= 1 << x
+            while not masks[-1]:
+                masks.pop()
+            record("settle", x)
             continue
-        unstable = {x for x in out if pos[x] <= 2 and deco[x - 1] >= bound[x - 1]}
+        unstable = list(ready(range(1, min(3, len(masks)))))
         if not unstable:
             break
-        while unstable:
-            x = next(l for l in out if l in unstable)
-            unstable.discard(x)
-            pay(blocks, x, bound[x - 1])
+        for x, k in unstable:
+            pay(x, k)
             # behind the last block of the other kind holding a letter that
             # x beats; the sink is beaten by every ascending letter
-            k = pos[x]
-            beaten = range(x) if k == 1 else range(x + 1, n + 1)
-            pos[x] = max(pos[j] for j in beaten if pos[j] % 2 != k % 2) + 1
-            if 2 not in pos:  # the first descending block has emptied
-                pos[:] = [p - 2 if p >= 3 else p for p in pos]
-            blocks, bound, out = layout()
-            record("topple", x, out)
-    if _runs(out) != tuple(map(tuple, blocks)):
+            to = 1 + max(j for j in range(1 - k % 2, len(masks), 2) if beaten(x, k, j))
+            masks[k] ^= 1 << x
+            if to == len(masks):
+                masks.append(0)
+            masks[to] |= 1 << x
+            if len(masks) > 2 and not masks[2]:  # the first descending block emptied
+                masks[1:4] = [masks[1] | masks[3]]
+            record("topple", x)
+    else:
+        raise RuntimeError("stabilization exceeded its iteration budget")
+    out = written()
+    if [sandpile._mask(block) for block in _runs(out)] != masks:
         raise RuntimeError("stabilized blocks are not the runs of %r" % (out,))
-    if sandpile.classify_decoration(blocks, deco) != "canonical":
+    if sandpile.classify_decoration(_runs(out), deco) != "canonical":
         raise RuntimeError("stabilized decoration of %r is not canonical" % (out,))
     if trace:
         return out, tuple(deco), events

@@ -192,6 +192,14 @@ def _mask(labels):
     return mask
 
 
+def _bits(mask):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _count_neighbors(out, mask, block, column):
     """out[v] = how many labels of mask are neighbors of v, for every v of
     the block: the smaller labels for a column block, the larger ones for a

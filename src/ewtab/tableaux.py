@@ -17,6 +17,7 @@ from functools import cached_property
 
 from .errors import DomainError
 from . import sandpile
+from .sandpile import _bits
 
 __all__ = [
     "EWTableau",
@@ -288,14 +289,6 @@ def supplementary_entry(t, i, j):
 def _mask(bits):
     """Int with bit x set exactly where bits[x] is 1."""
     return sum(1 << x for x, b in enumerate(bits) if b)
-
-
-def _bits(mask):
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _corner_masks(t):

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from ewtab import permutations, sandpile, serialize, trees
+from ewtab import cli, permutations, sandpile, serialize, trees
 from ewtab.cli import main
+from ewtab.diagrams import enumerate_diagrams
 
 
 def run(capsys, *argv):
@@ -241,6 +242,31 @@ def test_certify_sweep(capsys):
     assert len(lines) == 8  # 1 + 1 + 2 + 4 shapes, plus the summary
     assert lines[-1] == "certified 7 shapes, 0 failing"
     assert all(ln.startswith("PASS") for ln in lines[:-1])
+
+
+def test_certify_rejects_negative_grain_steps(capsys):
+    code, out, err = run(capsys, "certify", "--shape", "2,1",
+                         "--grain-steps", "-5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--grain-steps" in err
+
+
+def test_certify_sweep_builds_one_semiperimeter_at_a_time(capsys, monkeypatch):
+    built = []
+
+    def counting_enumerate(m):
+        built.append(m)
+        return enumerate_diagrams(m)
+
+    monkeypatch.setattr(cli, "enumerate_diagrams", counting_enumerate)
+    monkeypatch.setenv("EWTAB_ORACLE_BUDGET", "1")
+    code, out, err = run(capsys, "certify", "--semiperimeter-max", "21",
+                         "--grain-steps", "5")
+    assert code == 3
+    assert out == "PASS 1 (15 checks)\n"  # stopped at 1,1
+    assert err.startswith("error:")
+    assert built == [2, 3]
 
 
 def test_certify_json(capsys):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
-from ewtab.errors import BudgetError, FormatError
+from ewtab.errors import BudgetError, DomainError, FormatError
 from ewtab import oracles, permutations
 
 
@@ -170,3 +170,8 @@ def test_certify_size_checks_run_once_per_n(monkeypatch):
     assert calls == {"trees": 1, "shape_of_word": math.factorial(5)}
     assert oracles.certify_shape(second, grain_steps=5)["pass"]
     assert calls == {"trees": 1, "shape_of_word": math.factorial(5)}
+
+
+def test_certify_rejects_negative_grain_steps(d321):
+    with pytest.raises(DomainError, match="grain_steps"):
+        oracles.certify_shape(d321, grain_steps=-5)

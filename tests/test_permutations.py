@@ -2,6 +2,7 @@
 stabilization, and agreement with the graph dynamics."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,6 +182,113 @@ def test_config_round_trip():
                 assert (d2, c2) == (d, c)
 
 
+def reference_stabilize(word, decorations, trace=False):
+    """The stabilizer on a block index per letter: after every settle or
+    topple it regroups all letters into blocks, takes every bound from the
+    block core and rewrites the word."""
+    word = permutations._check_word(word)
+    n = len(word)
+    deco = list(sandpile.check_counts(decorations, n, "decorations"))
+    pos = [0] * (n + 1)
+    for k, block in enumerate(permutations._runs(word)):
+        for x in block:
+            pos[x] = k
+    events = []
+    cap = 10_000 + 40 * (n + 2) ** 3 * (sum(deco) + n + 2)
+    steps = 0
+
+    def layout():
+        blocks = [[] for _ in range(max(pos) + 1)]
+        for x, k in enumerate(pos):
+            blocks[k].append(x)
+        return (blocks, sandpile.canonical_bounds_from_blocks(blocks),
+                permutations._write(blocks))
+
+    def pay(blocks, x, bound):
+        if deco[x - 1] < bound:
+            raise RuntimeError(
+                "letter %d cannot pay its %d witnesses" % (x, bound))
+        deco[x - 1] -= bound
+        previous = blocks[pos[x] - 1]
+        for w in permutations.in_block_order(previous, pos[x])[:bound]:
+            if w:
+                deco[w - 1] += 1
+
+    def record(action, letter, word):
+        if trace:
+            events.append({"action": action, "letter": letter, "word": word,
+                           "decorations": tuple(deco)})
+
+    blocks, bound, out = layout()
+    while True:
+        steps += 1
+        if steps >= cap:
+            raise RuntimeError("stabilization exceeded its iteration budget")
+        x = next((x for x in out if pos[x] >= 3 and deco[x - 1] >= bound[x - 1]),
+                 None)
+        if x is not None:
+            pay(blocks, x, bound[x - 1])
+            pos[x] -= 2
+            blocks, bound, out = layout()
+            record("settle", x, out)
+            continue
+        unstable = {x for x in out
+                    if pos[x] <= 2 and deco[x - 1] >= bound[x - 1]}
+        if not unstable:
+            break
+        while unstable:
+            x = next(l for l in out if l in unstable)
+            unstable.discard(x)
+            pay(blocks, x, bound[x - 1])
+            k = pos[x]
+            beaten = range(x) if k == 1 else range(x + 1, n + 1)
+            pos[x] = max(pos[j] for j in beaten if pos[j] % 2 != k % 2) + 1
+            if 2 not in pos:
+                pos[:] = [p - 2 if p >= 3 else p for p in pos]
+            blocks, bound, out = layout()
+            record("topple", x, out)
+    if permutations._runs(out) != tuple(map(tuple, blocks)):
+        raise RuntimeError("stabilized blocks are not the runs of %r" % (out,))
+    if sandpile.classify_decoration(blocks, deco) != "canonical":
+        raise RuntimeError(
+            "stabilized decoration of %r is not canonical" % (out,))
+    if trace:
+        return out, tuple(deco), events
+    return out, tuple(deco)
+
+
+def stabilize_or_error(stabilize, word, decorations):
+    try:
+        return stabilize(word, decorations, trace=True)
+    except (RuntimeError, ValueError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_stabilize_matches_reference():
+    rng = random.Random(11)
+    cases = []
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        word = tuple(rng.sample(range(1, n + 1), n))
+        cases.append((word, tuple(rng.randint(0, 4) for _ in range(n))))
+    for parts in [tuple(range(16, 0, -1)), (8,) * 8]:
+        d = FerrersDiagram(parts)
+        top = tuple(g - 1 for g in d.degrees)
+        word, deco = permutations.decorated_from_config(d, top)
+        for _ in range(4):
+            burst = list(deco)
+            for _ in range(rng.randint(1, 2 * d.n)):
+                burst[rng.randrange(d.n)] += 1
+            cases.append((word, tuple(burst)))
+    events = 0
+    for word, deco in cases:
+        ours = stabilize_or_error(permutations.stabilize, word, deco)
+        assert ours == stabilize_or_error(reference_stabilize, word, deco), (
+            word, deco)
+        events += len(ours[2]) if len(ours) == 3 else 0
+    assert events > 10_000
+
+
 def test_stabilize_noop_on_canonical():
     out = permutations.stabilize((2, 3, 1), (1, 0, 0), trace=True)
     assert out == ((2, 3, 1), (1, 0, 0), [])
@@ -296,3 +404,23 @@ def test_stabilize_matches_graph_beyond_enumeration(parts):
         assert (w2, a2) == expected
         assert events
         assert (events[-1]["word"], events[-1]["decorations"]) == expected
+
+
+def test_stabilize_random_word_beyond_enumeration():
+    rng = random.Random(120)
+    word = tuple(rng.sample(range(1, 121), 120))
+    deco = tuple(rng.randrange(b) for b in permutations.canonical_bounds(word))
+    d, heights = permutations.config_from_decorated(word, deco)
+    assert permutations.stabilize(word, deco) == (word, deco)
+    for _ in range(2):
+        burst = [0] * d.n
+        for _ in range(rng.randint(d.n, 3 * d.n)):
+            burst[rng.randrange(d.n)] += 1
+        g, counts = sandpile.stabilize(
+            d, tuple(h + b for h, b in zip(heights, burst)))
+        assert sum(counts.values()) > d.n
+        blocks, expected = sandpile.decompose(d, g)
+        w2, a2 = permutations.stabilize(
+            word, tuple(a + b for a, b in zip(deco, burst)))
+        assert (w2, a2) == (permutations.word_from_blocks(blocks), expected)
+        assert w2 != word
