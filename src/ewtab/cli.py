@@ -82,7 +82,13 @@ def _build_parser():
         default="graph",
         help="topple on the graph or rewrite the decorated word",
     )
-    p.add_argument("--trace", action="store_true", help="include the step log")
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="--via perm: add each settle/topple step (JSON: a trace list); "
+        "--via graph: add the per-vertex topple counts to text output "
+        "(JSON carries them either way)",
+    )
     p.set_defaults(func=_cmd_stabilize)
 
     p = sub.add_parser(

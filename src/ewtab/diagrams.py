@@ -36,7 +36,7 @@ class FerrersDiagram:
     def semiperimeter(self):
         return len(self.parts) + self.parts[0]
 
-    @property
+    @cached_property
     def n(self):
         """Largest label; vertices are 0..n with 0 the sink."""
         return self.semiperimeter - 1

@@ -63,39 +63,51 @@ def enumerate_stable(diagram, budget=None):
     return (tuple(c) for c in itertools.product(*ranges))
 
 
-def _burns_completely(diagram, heights):
-    """Independent burning test: after the sink fires, a vertex burns once
-    enough neighbors have; recurrent means everything burns."""
+def _burner(diagram):
+    """The independent burning test on one diagram, its degrees and
+    neighbour tuples looked up once: after the sink fires, a vertex burns
+    once enough neighbors have; recurrent means everything burns."""
     n = diagram.n
-    rem = [0] * (n + 1)
-    for v in range(1, n + 1):
-        rem[v] = diagram.degree(v) - heights[v - 1]
-    burned = [False] * (n + 1)
-    stack = []
-    for j in diagram.col_labels:
-        rem[j] -= 1
-        if rem[j] <= 0:
-            stack.append(j)
-    count = 0
-    while stack:
-        v = stack.pop()
-        if burned[v]:
-            continue
-        burned[v] = True
-        count += 1
-        for u in diagram.neighbors(v):
-            if u == 0 or burned[u]:
+    degree = [diagram.degree(v) for v in range(n + 1)]
+    neighbors = [diagram.neighbors(v) for v in range(n + 1)]
+    columns = diagram.col_labels
+
+    def burns(heights):
+        rem = [0] * (n + 1)
+        for v in range(1, n + 1):
+            rem[v] = degree[v] - heights[v - 1]
+        burned = [False] * (n + 1)
+        stack = []
+        for j in columns:
+            rem[j] -= 1
+            if rem[j] <= 0:
+                stack.append(j)
+        count = 0
+        while stack:
+            v = stack.pop()
+            if burned[v]:
                 continue
-            rem[u] -= 1
-            if rem[u] <= 0:
-                stack.append(u)
-    return count == n
+            burned[v] = True
+            count += 1
+            for u in neighbors[v]:
+                if u == 0 or burned[u]:
+                    continue
+                rem[u] -= 1
+                if rem[u] <= 0:
+                    stack.append(u)
+        return count == n
+
+    return burns
+
+
+def _burns_completely(diagram, heights):
+    """The independent burning test of one configuration."""
+    return _burner(diagram)(heights)
 
 
 def enumerate_recurrent(diagram, budget=None):
-    return (
-        c for c in enumerate_stable(diagram, budget) if _burns_completely(diagram, c)
-    )
+    burns = _burner(diagram)
+    return (c for c in enumerate_stable(diagram, budget) if burns(c))
 
 
 def enumerate_minimal(diagram, budget=None):
@@ -165,17 +177,17 @@ def _add_grain(heights, v):
 def _random_order_stabilize(diagram, heights, rng):
     """Stabilization toppling a randomly chosen unstable vertex each step;
     used to witness that the result does not depend on the order."""
+    n = diagram.n
+    degs = diagram.degrees
     work = list(heights)
-    counts = [0] * (diagram.n + 1)
+    counts = [0] * (n + 1)
     while True:
-        unstable = [
-            v for v in range(1, diagram.n + 1) if work[v - 1] >= diagram.degree(v)
-        ]
+        unstable = [v for v in range(1, n + 1) if work[v - 1] >= degs[v - 1]]
         if not unstable:
             return tuple(work), counts
         v = rng.choice(unstable)
         counts[v] += 1
-        work[v - 1] -= diagram.degree(v)
+        work[v - 1] -= degs[v - 1]
         for u in diagram.neighbors(v):
             if u != 0:
                 work[u - 1] += 1

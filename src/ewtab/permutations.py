@@ -192,6 +192,21 @@ def stabilize(word, decorations, trace=False):
     the first and the later ones move up by two. Stops when neither move
     exists, with the canonically decorated word of the graph stabilization.
 
+    The search for a settle walks each block's mask bit by bit in word
+    order and stops at the first ready letter. It need not start at block 3
+    every time. Lemma: if no letter of blocks 3..k-1 is ready and x settles
+    from block k, then afterwards no letter of blocks 3..k-3 is ready.
+    Proof: whether the letter y of block j is ready depends only on y's
+    decoration and on blocks j and j-1. The settle changes the decoration
+    of x and of its witnesses, which lie in block k-1, and changes the
+    masks of blocks k-2 (x joins) and k (x leaves); dropping trailing
+    empty blocks removes only blocks after k. So for j <= k-3 neither
+    block j, nor block j-1, nor any decoration in block j changed, and
+    those letters are as unready as before. Hence after a settle from
+    block k the search starts at max(3, k-2) and still finds the leftmost
+    ready letter; a topple round moves letters and merges blocks near the
+    front, so the search after it starts at 3 again.
+
     Returns (word, decorations), or (word, decorations, trace) with trace a
     list of {action, letter, word, decorations} snapshots after each move.
     """
@@ -206,10 +221,15 @@ def stabilize(word, decorations, trace=False):
         """The letters of block j that x beats from a block of k's kind."""
         return masks[j] & ((1 << x) - 1) if k % 2 else masks[j] >> (x + 1) << (x + 1)
 
-    def ready(positions):
-        """(x, k) per letter x of the blocks k at or over its bound, in order."""
-        for k in positions:
-            for x in in_block_order(sandpile._bits(masks[k]), k):
+    def ready(start, stop):
+        """(x, k) per letter x of the blocks start..stop-1 at or over its
+        bound, in word order: lowest bit first in an ascending (odd) block,
+        highest first in a descending one."""
+        for k in range(start, stop):
+            rest = masks[k]
+            while rest:
+                x = (rest & -rest).bit_length() - 1 if k % 2 else rest.bit_length() - 1
+                rest ^= 1 << x
                 if deco[x - 1] >= beaten(x, k, k - 1).bit_count():
                     yield x, k
 
@@ -237,8 +257,9 @@ def stabilize(word, decorations, trace=False):
                 }
             )
 
+    start = 3  # no letter of blocks 3..start-1 is ready (see the lemma)
     for _ in range(cap - 1):
-        settle = next(ready(range(3, len(masks))), None)
+        settle = next(ready(start, len(masks)), None)
         if settle is not None:
             x, k = settle
             pay(x, k)
@@ -246,11 +267,13 @@ def stabilize(word, decorations, trace=False):
             masks[k - 2] |= 1 << x
             while not masks[-1]:
                 masks.pop()
+            start = max(3, k - 2)
             record("settle", x)
             continue
-        unstable = list(ready(range(1, min(3, len(masks)))))
+        unstable = list(ready(1, min(3, len(masks))))
         if not unstable:
             break
+        start = 3
         for x, k in unstable:
             pay(x, k)
             # behind the last block of the other kind holding a letter that

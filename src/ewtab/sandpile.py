@@ -16,6 +16,8 @@ unstable vertices are toppled together as one block, and the resulting ordered
 partition of 0..n is what the tableau and permutation encodings are built on.
 """
 
+import heapq
+
 from .errors import DomainError
 
 __all__ = [
@@ -75,6 +77,13 @@ def topple(diagram, heights, v):
 def stabilize(diagram, heights):
     """Topple unstable vertices (smallest first) until none remain.
 
+    The unstable vertices wait in a heap. The smallest one topples once and
+    leaves the heap only when that makes it stable; a neighbour joins when
+    its height reaches exactly its degree. So the heap always holds exactly
+    the unstable vertices, each topple costs its degree plus O(log n), and
+    the topples come in the same smallest-first order as a rescan from
+    vertex 1 after each one.
+
     Returns (stable_heights, topple_counts) where topple_counts maps every
     vertex 1..n to how many times it toppled.
     """
@@ -82,17 +91,19 @@ def stabilize(diagram, heights):
     n = diagram.n
     degs = diagram.degrees
     counts = {v: 0 for v in range(1, n + 1)}
-    while True:
-        for v in range(1, n + 1):
-            if heights[v - 1] >= degs[v - 1]:
-                heights[v - 1] -= degs[v - 1]
-                for u in diagram.neighbors(v):
-                    if u != 0:
-                        heights[u - 1] += 1
-                counts[v] += 1
-                break
-        else:
-            return tuple(heights), counts
+    unstable = [v for v in range(1, n + 1) if heights[v - 1] >= degs[v - 1]]
+    while unstable:  # a sorted list is already a heap
+        v = unstable[0]
+        heights[v - 1] -= degs[v - 1]
+        counts[v] += 1
+        if heights[v - 1] < degs[v - 1]:
+            heapq.heappop(unstable)
+        for u in diagram.neighbors(v):
+            if u != 0:
+                heights[u - 1] += 1
+                if heights[u - 1] == degs[u - 1]:
+                    heapq.heappush(unstable, u)
+    return tuple(heights), counts
 
 
 def _avalanche(diagram, heights, what):

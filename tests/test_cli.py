@@ -121,6 +121,18 @@ def test_stabilize_graph_route(capsys):
     assert "heights: 3,1,2,2,3,1,0" in out
 
 
+def test_stabilize_graph_route_trace_adds_counts_to_text(capsys):
+    argv = ["stabilize", "--shape", "4,4,4,3", "--heights", "1,3,1,0,2,4,3",
+            "--via", "graph"]
+    assert run(capsys, *argv)[1] == "heights: 3,1,2,2,3,1,0\n"
+    assert run(capsys, *argv, "--trace")[1] == (
+        "heights: 3,1,2,2,3,1,0\ncounts: 0,1,0,0,0,1,1\n")
+    expected = {"heights": [3, 1, 2, 2, 3, 1, 0], "counts": [0, 1, 0, 0, 0, 1, 1]}
+    for trace in ([], ["--trace"]):
+        out = run(capsys, *argv, "--format", "json", *trace)[1]
+        assert json.loads(out) == expected
+
+
 def test_stabilize_perm_route_with_trace(capsys):
     code, out, err = run(capsys, "stabilize", "--shape", "4,4,4,3",
                          "--heights", "1,3,1,0,2,4,3", "--via", "perm",

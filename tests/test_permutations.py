@@ -289,6 +289,24 @@ def test_stabilize_matches_reference():
     assert events > 10_000
 
 
+def test_stabilize_matches_reference_at_larger_sizes():
+    # long words, where a settle search restarted from block 3 and one
+    # restarted near the last settle differ most
+    rng = random.Random(40)
+    events = 0
+    for _ in range(20):
+        n = rng.randint(40, 80)
+        word = tuple(rng.sample(range(1, n + 1), n))
+        deco = [rng.randrange(b) for b in permutations.canonical_bounds(word)]
+        for _ in range(rng.randint(1, 2 * n)):
+            deco[rng.randrange(n)] += 1
+        ours = stabilize_or_error(permutations.stabilize, word, deco)
+        assert ours == stabilize_or_error(reference_stabilize, word, deco), (
+            word, deco)
+        events += len(ours[2]) if len(ours) == 3 else 0
+    assert events > 2_000
+
+
 def test_stabilize_noop_on_canonical():
     out = permutations.stabilize((2, 3, 1), (1, 0, 0), trace=True)
     assert out == ((2, 3, 1), (1, 0, 0), [])

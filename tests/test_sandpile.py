@@ -1,5 +1,7 @@
 """Graph-side sandpile dynamics: toppling, burning, canonical avalanches."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +39,75 @@ def test_stabilize_already_stable(d321):
     h, counts = sandpile.stabilize(d321, (0, 1, 1, 0, 2))
     assert h == (0, 1, 1, 0, 2)
     assert counts == {v: 0 for v in range(1, 6)}
+
+
+def reference_graph_stabilize(diagram, heights):
+    """The stabilizer as a rescan: after every topple, look for the smallest
+    unstable vertex from vertex 1 again."""
+    heights = list(heights)
+    n = diagram.n
+    degs = diagram.degrees
+    counts = {v: 0 for v in range(1, n + 1)}
+    while True:
+        for v in range(1, n + 1):
+            if heights[v - 1] >= degs[v - 1]:
+                heights[v - 1] -= degs[v - 1]
+                for u in diagram.neighbors(v):
+                    if u != 0:
+                        heights[u - 1] += 1
+                counts[v] += 1
+                break
+        else:
+            return tuple(heights), counts
+
+
+class LoggedDiagram(FerrersDiagram):
+    """A diagram that logs every vertex whose neighbours are asked for:
+    the stabilizer asks once per topple."""
+
+    def __init__(self, parts):
+        super().__init__(parts)
+        self.log = []
+
+    def neighbors(self, v):
+        self.log.append(v)
+        return super().neighbors(v)
+
+
+# The benchmark's shape families: staircases 8, 16, 32 and rectangles 10, 20.
+FAMILIES = [tuple(range(8, 0, -1)), (10,) * 10, tuple(range(16, 0, -1)),
+            (20,) * 20, tuple(range(32, 0, -1))]
+
+
+def stabilize_against_reference(parts, heights):
+    d = LoggedDiagram(parts)
+    expected = reference_graph_stabilize(d, heights)
+    order, d.log = d.log, []
+    assert sandpile.stabilize(d, heights) == expected, (parts, heights)
+    assert d.log == order, (parts, heights)
+    return expected
+
+
+def test_stabilize_matches_rescan_on_bursts():
+    rng = random.Random(5)
+    topples = 0
+    for parts in FAMILIES:
+        d = FerrersDiagram(parts)
+        for _ in range(4):
+            heights = [g - 1 for g in d.degrees]
+            for _ in range(rng.randint(1, 3 * d.n)):
+                heights[rng.randrange(d.n)] += 1
+            _, counts = stabilize_against_reference(parts, heights)
+            topples += sum(counts.values())
+    assert topples > 5_000
+
+
+def test_stabilize_matches_rescan_on_one_heavy_vertex():
+    heights = [0] * 15
+    heights[7] = 10_000
+    stable, counts = stabilize_against_reference((8,) * 8, heights)
+    assert sandpile.is_stable(FerrersDiagram((8,) * 8), stable)
+    assert counts[8] > 1_000
 
 
 def test_burning_order_recurrent(d321):
