@@ -79,6 +79,11 @@ class FerrersDiagram:
     def _col_index(self):
         return {v: x for x, v in enumerate(self.col_labels)}
 
+    @cached_property
+    def _cells(self):
+        # Entry ri is the mask of the column positions of row position ri.
+        return tuple((1 << p) - 1 for p in self.parts)
+
     def is_row(self, v):
         return v in self._row_index
 

@@ -41,10 +41,10 @@ __all__ = [
 
 def check_counts(values, n, what):
     """values as a tuple of n non-negative ints; DomainError otherwise."""
-    values = tuple(int(x) for x in values)
+    values = tuple(map(int, values))
     if len(values) != n:
         raise DomainError("expected %d %s, got %d" % (n, what, len(values)))
-    if any(x < 0 for x in values):
+    if values and min(values) < 0:
         raise DomainError("%s must be non-negative: %r" % (what, values))
     return values
 
@@ -109,12 +109,11 @@ def stabilize(diagram, heights):
 def _avalanche(diagram, heights, what):
     """The canonical blocks of stable heights (see canonical_toppling), or
     None when the avalanche stalls; `what` names the caller's test in the
-    error raised for unstable heights."""
-    heights = _check_config(diagram, heights)
-    if not is_stable(diagram, heights):
-        raise DomainError("%s needs a stable configuration" % what)
+    error raised for unstable heights, which come checked by the caller."""
     n = diagram.n
     degs = diagram.degrees
+    if not all(h < g for h, g in zip(heights, degs)):
+        raise DomainError("%s needs a stable configuration" % what)
     work = list(heights)
     for u in diagram.neighbors(0):
         work[u - 1] += 1
@@ -147,12 +146,12 @@ def burning_order(diagram, heights):
     """Order in which vertices burn after the sink topples, or None if the
     avalanche stalls (the configuration is not recurrent). Input must be
     stable. The order is the canonical blocks after the sink, in turn."""
-    blocks = _avalanche(diagram, heights, "burning test")
+    blocks = _avalanche(diagram, _check_config(diagram, heights), "burning test")
     return None if blocks is None else [v for block in blocks[1:] for v in block]
 
 
 def is_recurrent(diagram, heights):
-    return _avalanche(diagram, heights, "burning test") is not None
+    return _avalanche(diagram, _check_config(diagram, heights), "burning test") is not None
 
 
 def canonical_toppling(diagram, heights):
@@ -164,6 +163,10 @@ def canonical_toppling(diagram, heights):
     blocks alternate between column-side and row-side vertices. Returns a
     tuple of sorted tuples starting with (0,).
     """
+    return _canonical_blocks(diagram, _check_config(diagram, heights))
+
+
+def _canonical_blocks(diagram, heights):
     blocks = _avalanche(diagram, heights, "canonical toppling")
     if blocks is None:
         raise DomainError("configuration is not recurrent: avalanche stalls")
@@ -277,7 +280,7 @@ def decompose(diagram, heights):
     blocks and its surplus over the minimal configuration of those blocks.
     The decorations are canonical."""
     heights = _check_config(diagram, heights)
-    blocks = canonical_toppling(diagram, heights)
+    blocks = _canonical_blocks(diagram, heights)
     deco = tuple(h - b for h, b in zip(heights, minimal_from_blocks(blocks)))
     if any(a < 0 for a in deco):
         raise RuntimeError("%r lies below its minimal configuration" % (heights,))

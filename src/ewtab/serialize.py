@@ -232,8 +232,7 @@ def tableau_to_text(t, decorations=None):
 def tableau_to_pretty(t, decorations=None):
     d = t.diagram
     lines = []
-    for i, label in enumerate(d.row_labels):
-        bits = "".join(str(b) for b in t.rows[i])
+    for label, bits in zip(d.row_labels, t.row_strings()):
         if decorations is not None and label != 0:
             bits += " ^%d" % decorations[label - 1]
         lines.append(bits)

@@ -38,56 +38,79 @@ __all__ = [
     "config_from_decorated",
 ]
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask(row):
+    """Int with bit x set exactly where the 0/1 entry row[x] is 1."""
+    return int(bytes(row[::-1]).translate(_DIGITS), 2)
+
+
+def _entries(mask, width):
+    """The 0/1 entries of positions 0..width-1 of mask, as a tuple."""
+    return tuple(format(mask, "0%db" % width)[::-1].encode().translate(_BITS))
+
+
 class EWTableau:
     """A 0/1 filling of a Ferrers shape.
 
     `rows[i][x]` is the entry of the i-th row (top to bottom) at column
     position x (left to right). Construction checks only that the filling
     fits the shape; use validate()/ensure_valid() for the EW conditions.
+    The filling never changes: each tableau keeps one mask per row (bit x
+    for column position x) and, once first needed, the rows, its toppling
+    scan, its supplementary rows and its EW check.
     """
 
     def __init__(self, diagram, rows):
-        rows = tuple(tuple(int(b) for b in row) for row in rows)
-        if len(rows) != len(diagram.parts):
-            raise DomainError(
-                "expected %d rows, got %d" % (len(diagram.parts), len(rows))
-            )
-        for i, row in enumerate(rows):
-            if len(row) != diagram.parts[i]:
-                raise DomainError(
-                    "row %d must have %d entries, got %d"
-                    % (i, diagram.parts[i], len(row))
-                )
-            if any(b not in (0, 1) for b in row):
+        rows = tuple(tuple(map(int, row)) for row in rows)
+        parts = diagram.parts
+        if len(rows) != len(parts):
+            raise DomainError("expected %d rows, got %d" % (len(parts), len(rows)))
+        for i, (row, p) in enumerate(zip(rows, parts)):
+            if len(row) != p:
+                raise DomainError("row %d must have %d entries, got %d" % (i, p, len(row)))
+            if not {0, 1}.issuperset(row):
                 raise DomainError("entries must be 0 or 1")
         self.diagram = diagram
         self.rows = rows
+        self._masks = tuple(map(_mask, rows))
+
+    @cached_property
+    def rows(self):  # read from the masks, for tableaux built by from_blocks
+        return tuple(map(_entries, self._masks, self.diagram.parts))
 
     def entry(self, i, j):
         """Entry at row label i, column label j (the labels, not positions)."""
         d = self.diagram
-        ri = d.row_index(i)
-        x = d.col_index(j)
+        ri, x = d.row_index(i), d.col_index(j)
         if x >= d.parts[ri]:
             raise DomainError("no cell at row %d, column %d" % (i, j))
-        return self.rows[ri][x]
+        return self._masks[ri] >> x & 1
 
     def row_strings(self):
-        return tuple("".join(str(b) for b in row) for row in self.rows)
+        parts = self.diagram.parts
+        return tuple(format(m, "0%db" % p)[::-1] for m, p in zip(self._masks, parts))
 
     @cached_property
-    def _blocks(self):  # the filling never changes, so this scans once
+    def _blocks(self):
         return _toppling_scan(self)
 
+    @cached_property
+    def _supplementary(self):
+        return _suffix_unions(self.diagram, self._blocks)
+
+    @cached_property
+    def _problems(self):
+        return validate(self)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, EWTableau)
-            and self.diagram == other.diagram
-            and self.rows == other.rows
-        )
+        return isinstance(other, EWTableau) and (self.diagram, self._masks) == (
+            other.diagram, other._masks)
 
     def __hash__(self):
-        return hash((self.diagram, self.rows))
+        return hash((self.diagram, self._masks))
 
     def __repr__(self):
         return "EWTableau(%r, %r)" % (self.diagram.parts, "/".join(self.row_strings()))
@@ -102,42 +125,38 @@ def validate(t):
       rectangle        no four-cell rectangle has 0s on one diagonal and 1s
                        on the other
     """
-    problems = []
-    rows = t.rows
-    for x, b in enumerate(rows[0]):
-        if b != 1:
-            problems.append({"rule": "top-row-ones", "row": 0, "x": x})
-    for i in range(1, len(rows)):
-        if 0 not in rows[i]:
-            problems.append({"rule": "row-has-zero", "row": i})
-    masks = [_mask(row) for row in rows]
-    for i in range(len(rows)):
-        for i2 in range(i + 1, len(rows)):
-            width = len(rows[i2])  # the lower row is never longer
-            upper = masks[i] & ((1 << width) - 1)
+    masks = t._masks
+    cells = t.diagram._cells
+    problems = [
+        {"rule": "top-row-ones", "row": 0, "x": x} for x in _bits(cells[0] & ~masks[0])
+    ]
+    problems += [
+        {"rule": "row-has-zero", "row": i}
+        for i in range(1, len(masks))
+        if masks[i] == cells[i]
+    ]
+    for i, top in enumerate(masks):
+        for i2 in range(i + 1, len(masks)):
             lower = masks[i2]
+            upper = top & cells[i2]  # the lower row is never longer
             # A bad rectangle pairs a column where only row i has a 1 with
             # one where only row i2 does, so it exists exactly when neither
-            # row's 1-set contains the other's; only such pairs are scanned.
-            if not (upper & ~lower and lower & ~upper):
+            # row's 1-set contains the other's.
+            both = upper | lower
+            if both == upper or both == lower:
                 continue
-            for x in range(width):
-                for x2 in range(x + 1, width):
-                    a, b = rows[i][x], rows[i][x2]
-                    c, d = rows[i2][x], rows[i2][x2]
-                    if a == d and b == c and a != b:
-                        problems.append(
-                            {
-                                "rule": "rectangle",
-                                "rows": (i, i2),
-                                "cols": (x, x2),
-                            }
-                        )
+            only_upper, only_lower = both & ~lower, both & ~upper
+            for x in _bits(only_upper | only_lower):
+                other = only_lower if only_upper >> x & 1 else only_upper
+                for x2 in _bits(other >> x + 1):
+                    problems.append(
+                        {"rule": "rectangle", "rows": (i, i2), "cols": (x, x + 1 + x2)}
+                    )
     return problems
 
 
 def ensure_valid(t):
-    problems = validate(t)
+    problems = t._problems  # each tableau is validated once
     if problems:
         raise DomainError("not an EW-tableau: %r" % (problems[0],))
     return t
@@ -148,34 +167,45 @@ def minimal_config(t):
     vertices get their count of 1s, column vertices their count of 0s."""
     d = t.diagram
     out = [0] * d.n
-    for i, label in enumerate(d.row_labels):
-        if label == 0:
-            continue
-        out[label - 1] = sum(t.rows[i])
-    for x, label in enumerate(d.col_labels):
-        height = d.degrees[label - 1]
-        ones = sum(t.rows[i][x] for i in range(height))
-        out[label - 1] = height - ones
+    for label, m in zip(d.row_labels, t._masks):
+        if label:
+            out[label - 1] = m.bit_count()
+    for label, ones in zip(d.col_labels, _column_counts(t._masks, d.parts[0])):
+        out[label - 1] = d.degrees[label - 1] - ones
     return tuple(out)
 
 
-def _comparison_grid(diagram, blocks):
-    """Full rectangular grid over every row/column label pair: 1 exactly
-    when the row's block precedes the column's block."""
-    pos = {v: k for k, block in enumerate(blocks) for v in block}
-    return [
-        [1 if pos[i] < pos[j] else 0 for j in diagram.col_labels]
-        for i in diagram.row_labels
-    ]
+def _column_counts(masks, width):
+    """Per column position x < width, how many of the masks have bit x."""
+    counts = [0] * width
+    for m in masks:
+        for x in _bits(m):
+            counts[x] += 1
+    return counts
+
+
+def _suffix_unions(diagram, blocks):
+    """Per row position, the mask of the column positions whose block comes
+    after the row's block: one pass over the blocks from the last."""
+    col_index, row_index = diagram._col_index, diagram._row_index
+    out = [None] * len(diagram.parts)
+    later = 0
+    for block in reversed(blocks):
+        for v in block:
+            if v in row_index:
+                out[row_index[v]] = later
+        later |= sum(1 << col_index[v] for v in block if v in col_index)
+    return out
 
 
 def from_blocks(diagram, blocks):
     """The EW-tableau of an ordered partition of the labels: cell (i, j) is
     1 exactly when row i's block precedes column j's block. Raises
     DomainError when the filling breaks an EW condition."""
-    grid = _comparison_grid(diagram, blocks)
-    rows = [row[:p] for row, p in zip(grid, diagram.parts)]
-    return ensure_valid(EWTableau(diagram, rows))
+    t = EWTableau.__new__(EWTableau)  # its rows are built from the masks when read
+    t.diagram = diagram
+    t._masks = tuple(map(int.__and__, _suffix_unions(diagram, blocks), diagram._cells))
+    return ensure_valid(t)
 
 
 def from_minimal_config(diagram, heights):
@@ -200,24 +230,26 @@ def canonical_toppling(t):
 
 
 def _toppling_scan(t):
-    # On bitmasks, with the filling never rewritten: an unrecorded row is
-    # ready once its 0s lie in recorded columns, an unrecorded column once
-    # its 1s lie in recorded rows.
+    # On the kept row masks, with the filling never rewritten:
+    # an unrecorded row is ready once its 0s lie in recorded columns, an
+    # unrecorded column once no unrecorded row has a 1 in it.
     d = t.diagram
-    rows = [_mask(row) for row in t.rows]
-    zeros = [((1 << p) - 1) & ~r for p, r in zip(d.parts, rows)]
-    cols = [_mask((r >> x) & 1 for r in rows) for x in range(d.parts[0])]
-    todo_rows, todo_cols = (1 << len(rows)) - 1, (1 << d.parts[0]) - 1
+    masks = t._masks
+    zeros = [c & ~r for c, r in zip(d._cells, masks)]
+    rows, todo_cols = list(range(len(masks))), d._cells[0]
     blocks = []
-    while todo_rows or todo_cols:
-        ready_rows = [i for i in _bits(todo_rows) if not zeros[i] & todo_cols]
+    while rows or todo_cols:
+        ready_rows = [i for i in rows if not zeros[i] & todo_cols]
         if ready_rows:
             blocks.append(tuple(sorted(d.row_labels[i] for i in ready_rows)))
-            todo_rows &= ~sum(1 << i for i in ready_rows)
-        ready_cols = [x for x in _bits(todo_cols) if not cols[x] & todo_rows]
+            rows = [i for i in rows if zeros[i] & todo_cols]
+        live = 0
+        for i in rows:
+            live |= masks[i]
+        ready_cols = todo_cols & ~live
         if ready_cols:
-            blocks.append(tuple(sorted(d.col_labels[x] for x in ready_cols)))
-            todo_cols &= ~sum(1 << x for x in ready_cols)
+            blocks.append(tuple(sorted(d.col_labels[x] for x in _bits(ready_cols))))
+            todo_cols ^= ready_cols
         if not ready_rows and not ready_cols:
             raise DomainError("not an EW-tableau: toppling scan stalls")
     if blocks[0] != (0,):
@@ -244,22 +276,17 @@ class Supplementary:
         return tuple("".join(str(b) for b in row) for row in self.grid)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Supplementary)
-            and self.diagram == other.diagram
-            and self.grid == other.grid
-        )
+        return isinstance(other, Supplementary) and (self.diagram, self.grid) == (
+            other.diagram, other.grid)
 
     def __repr__(self):
-        return "Supplementary(%r, %r)" % (
-            self.diagram.parts,
-            "/".join(self.row_strings()),
-        )
+        return "Supplementary(%r, %r)" % (self.diagram.parts, "/".join(self.row_strings()))
 
 
 def supplementary(t):
     """Build the supplementary grid from the canonical toppling blocks."""
-    return Supplementary(t.diagram, _comparison_grid(t.diagram, canonical_toppling(t)))
+    width = t.diagram.parts[0]
+    return Supplementary(t.diagram, [_entries(g, width) for g in t._supplementary])
 
 
 def supplementary_entry(t, i, j):
@@ -277,23 +304,15 @@ def supplementary_entry(t, i, j):
         raise DomainError("cell (%d, %d) lies inside the shape" % (i, j))
     for kp in d.col_labels:
         if kp > i and t.entry(i, kp) == 0:
-            if all(
-                t.entry(jp, j) == 0
-                for jp in d.row_labels
-                if jp < j and t.entry(jp, kp) == 0
-            ):
+            zeros_at_kp = (jp for jp in d.row_labels if jp < j and t.entry(jp, kp) == 0)
+            if all(t.entry(jp, j) == 0 for jp in zeros_at_kp):
                 return 0
     return 1
 
 
-def _mask(bits):
-    """Int with bit x set exactly where bits[x] is 1."""
-    return sum(1 << x for x, b in enumerate(bits) if b)
-
-
 def _corner_masks(t):
-    """(row masks, witnessed masks) per row position, bit x for column
-    position x: the tableau's 1s, and its cells in corner support.
+    """Per row position, the mask (bit x for column position x) of its
+    cells in corner support.
 
     A cell (i, j) holding 1 is witnessed by a row i2 with a 1 at j and a
     column j2 where row i has 1 and row i2 has 0; a cell holding 0 by a row
@@ -301,27 +320,28 @@ def _corner_masks(t):
     Such a j2 differs from j by construction, so with one 1-mask per row
     of the supplementary grid each ordered row pair costs a few word
     operations. The pair of a row with itself, or with an identical row,
-    witnesses nothing.
+    witnesses nothing, so the pairs run over the distinct rows of the grid
+    (all rows of one block share one), and each row keeps the witnesses of
+    its grid row that lie in its shape.
     """
-    d = t.diagram
-    rows = [_mask(row) for row in t.rows]
-    shape = [(1 << p) - 1 for p in d.parts]
-    full = shape[0]
+    cells = t.diagram._cells
+    full = cells[0]
     # Cells of the shape read the tableau, the rest the grid built from
     # the avalanche; on an EW-tableau the grid restricts to the tableau.
-    grid = supplementary(t).grid
-    ones = [r | (_mask(g) & ~m) for r, g, m in zip(rows, grid, shape)]
-    witnessed = []
-    for a, m in zip(ones, shape):
-        zeros = full & ~a
+    ones = [r | g & ~m for r, g, m in zip(t._masks, t._supplementary, cells)]
+    distinct = dict.fromkeys(ones, 0)
+    pairs = [(b, ~b) for b in distinct]
+    for a in distinct:
+        not_a = ~a
+        zeros = full & not_a
         w = 0
-        for b in ones:
-            if a & ~b:
+        for b, not_b in pairs:
+            if a & not_b:
                 w |= a & b
-            if b & ~a:
-                w |= zeros & ~b
-        witnessed.append(w & m)
-    return rows, witnessed
+            if b & not_a:
+                w |= zeros & not_b
+        distinct[a] = w
+    return [distinct[a] & m for a, m in zip(ones, cells)]
 
 
 def corner_support(t, method="blocks"):
@@ -337,56 +357,32 @@ def corner_support(t, method="blocks"):
     """
     d = t.diagram
     if method == "blocks":
-        _, witnessed = _corner_masks(t)
-        return {
-            (i, d.col_labels[x])
-            for i, w in zip(d.row_labels, witnessed)
-            for x in _bits(w)
-        }
+        witnessed = zip(d.row_labels, _corner_masks(t))
+        return {(i, d.col_labels[x]) for i, w in witnessed for x in _bits(w)}
     if method != "local":
         raise ValueError("method must be 'blocks' or 'local'")
-    cells = [(i, j) for i in d.row_labels for j in d.col_labels if j > i]
-    out = set()
-    for i, j in cells:
-        x = t.entry(i, j)
-        found = False
-        if x == 0:
+
+    def witnessed(i, j):
+        if t.entry(i, j) == 0:
             # witness: a 1-cell at (i2, j2) with a 0 at (i, j2), and the
             # fourth corner (i2, j) reading 0 (in the shape or by the rule)
-            for i2 in d.row_labels:
-                if i2 == i or found:
-                    continue
-                for j2 in d.col_labels:
-                    if j2 == j or j2 <= i2 or j2 <= i:
-                        continue
-                    if t.entry(i2, j2) != 1 or t.entry(i, j2) != 0:
-                        continue
-                    corner = (
-                        t.entry(i2, j) if j > i2 else supplementary_entry(t, i2, j)
-                    )
-                    if corner == 0:
-                        found = True
-                        break
-        else:
-            # witness: a 0-cell at (i2, j2) with a 1 at (i2, j), and the
-            # fourth corner (i, j2) reading 1
-            for i2 in d.row_labels:
-                if i2 == i or found or j <= i2:
-                    continue
-                for j2 in d.col_labels:
-                    if j2 == j or j2 <= i2:
-                        continue
-                    if t.entry(i2, j2) != 0 or t.entry(i2, j) != 1:
-                        continue
-                    corner = (
-                        t.entry(i, j2) if j2 > i else supplementary_entry(t, i, j2)
-                    )
-                    if corner == 1:
-                        found = True
-                        break
-        if found:
-            out.add((i, j))
-    return out
+            return any(
+                t.entry(i2, j2) == 1 and t.entry(i, j2) == 0
+                and (t.entry(i2, j) if j > i2 else supplementary_entry(t, i2, j)) == 0
+                for i2 in d.row_labels if i2 != i
+                for j2 in d.col_labels if j2 != j and j2 > i2 and j2 > i
+            )
+        # witness: a 0-cell at (i2, j2) with a 1 at (i2, j), and the fourth
+        # corner (i, j2) reading 1
+        return any(
+            t.entry(i2, j2) == 0 and t.entry(i2, j) == 1
+            and (t.entry(i, j2) if j2 > i else supplementary_entry(t, i, j2)) == 1
+            for i2 in d.row_labels if i2 != i and j > i2
+            for j2 in d.col_labels if j2 != j and j2 > i2
+        )
+
+    cells = ((i, j) for i in d.row_labels for j in d.col_labels if j > i)
+    return {cell for cell in cells if witnessed(*cell)}
 
 
 def canonical_bounds(t):
@@ -394,15 +390,13 @@ def canonical_bounds(t):
     for a row, its count of 0s not in corner_support; for a column, its
     count of 1s not in corner_support. Entry v-1 for vertex v."""
     d = t.diagram
-    rows, witnessed = _corner_masks(t)
+    witnessed = _corner_masks(t)
     out = [0] * d.n
-    unwitnessed_ones = [0] * d.parts[0]
-    for i, r, w, p in zip(d.row_labels, rows, witnessed, d.parts):
+    for i, r, w, m in zip(d.row_labels, t._masks, witnessed, d._cells):
         if i:
-            out[i - 1] = (((1 << p) - 1) & ~r & ~w).bit_count()
-        for x in _bits(r & ~w):
-            unwitnessed_ones[x] += 1
-    for j, count in zip(d.col_labels, unwitnessed_ones):
+            out[i - 1] = (m & ~r & ~w).bit_count()
+    unwitnessed = [r & ~w for r, w in zip(t._masks, witnessed)]
+    for j, count in zip(d.col_labels, _column_counts(unwitnessed, d.parts[0])):
         out[j - 1] = count
     return tuple(out)
 
@@ -435,5 +429,4 @@ def config_from_decorated(t, decorations):
     kind = classify_decoration(t, decorations)
     if kind != "canonical":
         raise DomainError("decoration is %s, not canonical" % kind)
-    base = minimal_config(t)
-    return tuple(b + a for b, a in zip(base, decorations))
+    return tuple(b + a for b, a in zip(minimal_config(t), decorations))

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
 from ewtab.errors import DomainError
-from ewtab import oracles, sandpile
+from ewtab import oracles, permutations, sandpile, tableaux
 
 
 def test_is_stable(d321):
@@ -254,3 +254,75 @@ def test_stabilize_terminates_and_conserves(seed):
     shed = sum(counts.get(v, 0) * len([u for u in d.neighbors(v) if u == 0])
                for v in range(1, d.n + 1))
     assert sum(g) == sum(h) - shed
+
+
+HEIGHT_ENTRIES = [
+    (sandpile, "is_stable"),
+    (sandpile, "stabilize"),
+    (sandpile, "is_recurrent"),
+    (sandpile, "burning_order"),
+    (sandpile, "canonical_toppling"),
+    (sandpile, "level"),
+    (sandpile, "minimal_recurrent"),
+    (sandpile, "canonical_bounds"),
+    (sandpile, "decompose"),
+    (tableaux, "decorated_from_config"),
+    (permutations, "decorated_from_config"),
+]
+STABILITY_NEEDED = {
+    "is_recurrent": "burning test needs a stable configuration",
+    "burning_order": "burning test needs a stable configuration",
+    "canonical_toppling": "canonical toppling needs a stable configuration",
+    "minimal_recurrent": "canonical toppling needs a stable configuration",
+    "canonical_bounds": "canonical toppling needs a stable configuration",
+    "decompose": "canonical toppling needs a stable configuration",
+    "decorated_from_config": "canonical toppling needs a stable configuration",
+}
+
+
+@pytest.mark.parametrize("module, name", HEIGHT_ENTRIES,
+                         ids=["%s.%s" % (m.__name__.split(".")[-1], f)
+                              for m, f in HEIGHT_ENTRIES])
+def test_every_entry_rejects_bad_heights_with_the_same_text(d321, module, name):
+    entry = getattr(module, name)
+    with pytest.raises(DomainError, match=r"^expected 5 heights, got 4$"):
+        entry(d321, (0, 0, 0, 0))
+    with pytest.raises(DomainError) as e:
+        entry(d321, (0, -1, 1, 0, 2))
+    assert str(e.value) == "heights must be non-negative: (0, -1, 1, 0, 2)"
+    unstable = (0, 1, 1, 0, 9)
+    if name in STABILITY_NEEDED:
+        with pytest.raises(DomainError) as e:
+            entry(d321, unstable)
+        assert str(e.value) == STABILITY_NEEDED[name]
+    else:
+        entry(d321, unstable)
+
+
+def counting_checks(monkeypatch):
+    calls = []
+    check = sandpile.check_counts
+
+    def counting_check(values, n, what):
+        calls.append(what)
+        return check(values, n, what)
+
+    monkeypatch.setattr(sandpile, "check_counts", counting_check)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["decompose", "canonical_toppling",
+                                  "burning_order", "is_recurrent"])
+def test_heights_are_checked_once_per_entry(monkeypatch, d5332, name):
+    calls = counting_checks(monkeypatch)
+    c = (0, 0, 2, 1, 0, 0, 3, 2)
+    for _ in range(3):
+        getattr(sandpile, name)(d5332, c)
+    assert calls == ["heights"] * 3
+
+
+def test_decorated_from_config_checks_heights_once(monkeypatch, d5332):
+    calls = counting_checks(monkeypatch)
+    tableaux.decorated_from_config(d5332, (0, 0, 2, 1, 0, 0, 3, 2))
+    permutations.decorated_from_config(d5332, (0, 0, 2, 1, 0, 0, 3, 2))
+    assert calls == ["heights"] * 2

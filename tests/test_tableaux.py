@@ -1,7 +1,9 @@
 """Tableaux: EW conditions, minimal configurations, supplementary grid,
 cornersupport, decorations, and the configuration correspondence."""
 
+import itertools
 import random
+import time
 
 import pytest
 
@@ -472,3 +474,221 @@ def test_config_from_decorated_strict(d321):
 def test_decorated_from_config_requires_recurrent(d321):
     with pytest.raises(DomainError):
         tableaux.decorated_from_config(d321, (0, 0, 0, 0, 0))
+
+
+# References for the tableau layer, reading only the public rows: the grid
+# through a label-position dict, validation and the toppling scan with
+# every mask rebuilt per call, and the witness loop over every pair of rows.
+
+def reference_mask(bits):
+    return sum(1 << x for x, b in enumerate(bits) if b)
+
+
+def reference_comparison_grid(diagram, blocks):
+    """Full grid over every row/column label pair: 1 exactly when the
+    row's block precedes the column's block."""
+    pos = {v: k for k, block in enumerate(blocks) for v in block}
+    return [
+        [1 if pos[i] < pos[j] else 0 for j in diagram.col_labels]
+        for i in diagram.row_labels
+    ]
+
+
+def reference_validate(t):
+    problems = []
+    rows = t.rows
+    for x, b in enumerate(rows[0]):
+        if b != 1:
+            problems.append({"rule": "top-row-ones", "row": 0, "x": x})
+    for i in range(1, len(rows)):
+        if 0 not in rows[i]:
+            problems.append({"rule": "row-has-zero", "row": i})
+    masks = [reference_mask(row) for row in rows]
+    for i in range(len(rows)):
+        for i2 in range(i + 1, len(rows)):
+            width = len(rows[i2])
+            upper = masks[i] & ((1 << width) - 1)
+            lower = masks[i2]
+            if not (upper & ~lower and lower & ~upper):
+                continue
+            for x in range(width):
+                for x2 in range(x + 1, width):
+                    a, b = rows[i][x], rows[i][x2]
+                    c, d = rows[i2][x], rows[i2][x2]
+                    if a == d and b == c and a != b:
+                        problems.append(
+                            {"rule": "rectangle", "rows": (i, i2), "cols": (x, x2)})
+    return problems
+
+
+def reference_toppling_scan(t):
+    d = t.diagram
+    rows = [reference_mask(row) for row in t.rows]
+    zeros = [((1 << p) - 1) & ~r for p, r in zip(d.parts, rows)]
+    cols = [reference_mask((r >> x) & 1 for r in rows) for x in range(d.parts[0])]
+    todo_rows, todo_cols = (1 << len(rows)) - 1, (1 << d.parts[0]) - 1
+    blocks = []
+    while todo_rows or todo_cols:
+        ready_rows = [i for i in sandpile._bits(todo_rows) if not zeros[i] & todo_cols]
+        if ready_rows:
+            blocks.append(tuple(sorted(d.row_labels[i] for i in ready_rows)))
+            todo_rows &= ~sum(1 << i for i in ready_rows)
+        ready_cols = [x for x in sandpile._bits(todo_cols) if not cols[x] & todo_rows]
+        if ready_cols:
+            blocks.append(tuple(sorted(d.col_labels[x] for x in ready_cols)))
+            todo_cols &= ~sum(1 << x for x in ready_cols)
+        if not ready_rows and not ready_cols:
+            raise DomainError("not an EW-tableau: toppling scan stalls")
+    if blocks[0] != (0,):
+        raise DomainError("not an EW-tableau: a non-top row starts all 1s")
+    return tuple(blocks)
+
+
+def reference_corner_masks(t):
+    """(row masks, witnessed masks), every pair of rows compared."""
+    d = t.diagram
+    rows = [reference_mask(row) for row in t.rows]
+    shape = [(1 << p) - 1 for p in d.parts]
+    full = shape[0]
+    grid = reference_comparison_grid(d, reference_toppling_scan(t))
+    ones = [r | (reference_mask(g) & ~m) for r, g, m in zip(rows, grid, shape)]
+    witnessed = []
+    for a, m in zip(ones, shape):
+        zeros = full & ~a
+        w = 0
+        for b in ones:
+            if a & ~b:
+                w |= a & b
+            if b & ~a:
+                w |= zeros & ~b
+        witnessed.append(w & m)
+    return rows, witnessed
+
+
+def reference_canonical_bounds(t):
+    d = t.diagram
+    rows, witnessed = reference_corner_masks(t)
+    out = [0] * d.n
+    unwitnessed_ones = [0] * d.parts[0]
+    for i, r, w, p in zip(d.row_labels, rows, witnessed, d.parts):
+        if i:
+            out[i - 1] = (((1 << p) - 1) & ~r & ~w).bit_count()
+        for x in sandpile._bits(r & ~w):
+            unwitnessed_ones[x] += 1
+    for j, count in zip(d.col_labels, unwitnessed_ones):
+        out[j - 1] = count
+    return tuple(out)
+
+
+def reference_from_blocks(diagram, blocks):
+    """(rows, validate's problems) of the filling the blocks give."""
+    grid = reference_comparison_grid(diagram, blocks)
+    t = EWTableau(diagram, [row[:p] for row, p in zip(grid, diagram.parts)])
+    return t.rows, reference_validate(t)
+
+
+def assert_layer_matches_reference(d, rows):
+    """The tableau layer on a fresh tableau of these rows against the
+    references: validate's problems in order, the scan's blocks or error
+    text, and where the scan succeeds the bounds, the blocks corner
+    support, the supplementary grid and the tableau of the blocks."""
+    t = EWTableau(d, rows)
+    assert tableaux.validate(t) == reference_validate(t), (d.parts, rows)
+    blocks = toppling_or_error(tableaux.canonical_toppling, t)
+    assert blocks == toppling_or_error(reference_toppling_scan, t), (d.parts, rows)
+    assert EWTableau(d, rows) == t and hash(EWTableau(d, rows)) == hash(t)
+    if isinstance(blocks, str):
+        return
+    t = EWTableau(d, rows)  # nothing kept from the scan above
+    assert tableaux.canonical_bounds(t) == reference_canonical_bounds(t)
+    _, witnessed = reference_corner_masks(t)
+    assert tableaux.corner_support(t, "blocks") == {
+        (i, d.col_labels[x])
+        for i, w in zip(d.row_labels, witnessed) for x in sandpile._bits(w)}
+    grid = reference_comparison_grid(d, blocks)
+    s = tableaux.supplementary(t)
+    assert s.grid == tuple(map(tuple, grid))
+    assert s.row_strings() == tuple("".join(map(str, row)) for row in grid)
+    ref_rows, problems = reference_from_blocks(d, blocks)
+    if problems:
+        with pytest.raises(DomainError) as e:
+            tableaux.from_blocks(d, blocks)
+        assert str(e.value) == "not an EW-tableau: %r" % (problems[0],)
+        return
+    built = tableaux.from_blocks(d, blocks)
+    ref = EWTableau(d, ref_rows)
+    assert built.rows == ref_rows and built.row_strings() == ref.row_strings()
+    assert built == ref and hash(built) == hash(ref)
+    if not tableaux.validate(t):
+        assert built == t and hash(built) == hash(t)
+
+
+def test_layer_matches_reference_on_every_ew_tableau():
+    count = 0
+    for m in range(2, 9):
+        for d in enumerate_diagrams(m):
+            for t in oracles.enumerate_tableaux(d):
+                assert_layer_matches_reference(d, t.rows)
+                count += 1
+    assert count == 5913
+
+
+def test_layer_matches_reference_on_every_filling():
+    fillings = invalid = 0
+    for m in range(2, 7):
+        for d in enumerate_diagrams(m):
+            for bits in itertools.product((0, 1), repeat=sum(d.parts)):
+                starts = list(itertools.accumulate(d.parts, initial=0))
+                rows = [bits[a:b] for a, b in zip(starts, starts[1:])]
+                assert_layer_matches_reference(d, rows)
+                fillings += 1
+                invalid += bool(reference_validate(EWTableau(d, rows)))
+    assert fillings == 2450 and 0 < invalid < fillings
+
+
+@pytest.mark.parametrize("n", [100, 250, 500])
+def test_layer_matches_reference_on_random_words(n):
+    rng = random.Random(n)
+    word = list(range(1, n + 1))
+    rng.shuffle(word)
+    t = permutations.to_tableau(word)
+    assert t.rows == reference_from_blocks(t.diagram, permutations.run_blocks(word))[0]
+    assert_layer_matches_reference(t.diagram, t.rows)
+
+
+def test_validate_runs_once_per_tableau(monkeypatch, d5332):
+    check = tableaux.validate
+    calls = []
+
+    def counting_validate(t):
+        calls.append(t)
+        return check(t)
+
+    monkeypatch.setattr(tableaux, "validate", counting_validate)
+    c = (0, 0, 2, 1, 0, 0, 3, 2)
+    t, deco = tableaux.decorated_from_config(d5332, c)
+    assert calls == [t]
+    for _ in range(5):
+        assert tableaux.config_from_decorated(t, deco) == c
+        tableaux.ensure_valid(t)
+    assert calls == [t]
+    fresh = EWTableau(d5332, t.rows)
+    for _ in range(5):
+        assert tableaux.config_from_decorated(fresh, deco) == c
+    assert calls == [t, fresh]
+
+
+def test_tableau_route_at_n_2000_within_its_budget():
+    # A random word of 1..2000 through its tableau and back, with the
+    # tableau's corner-support bounds against the word's block core. The
+    # budget is this test's own and leaves a wide margin.
+    rng = random.Random(1)
+    word = list(range(1, 2001))
+    rng.shuffle(word)
+    start = time.perf_counter()
+    t = permutations.to_tableau(word)
+    bounds = tableaux.canonical_bounds(t)
+    elapsed = time.perf_counter() - start
+    assert bounds == permutations.canonical_bounds(word)
+    assert permutations.from_tableau(t) == tuple(word)
+    assert elapsed < 20, "to_tableau plus canonical_bounds took %.2fs" % elapsed
