@@ -166,9 +166,7 @@ def _decorated_word(args, data):
             deco = (0,) * len(word)
     else:
         word, deco = serialize.parse_perm(data)
-    kind = permutations.classify_decoration(word, deco)
-    if kind != "canonical":
-        raise DomainError("decoration is %s, not canonical" % kind)
+    sandpile.require_canonical(permutations.run_blocks(word), deco)
     return word, deco
 
 

@@ -14,6 +14,7 @@ belongs to the diagram, which happens exactly when i < j.
 """
 
 import bisect
+import math
 from functools import cached_property
 
 from .errors import DomainError
@@ -104,8 +105,10 @@ class FerrersDiagram:
             raise DomainError("%r is not a column label of %r" % (v, self.parts)) from None
 
     def col_height(self, x):
-        """Number of rows long enough to reach column position x."""
-        return sum(1 for p in self.parts if p > x)
+        """Number of rows long enough to reach column position x: the row
+        labels below the column's label, which are all its smaller labels
+        except the parts[0] - 1 - x columns to its right."""
+        return self.col_labels[x] + x + 1 - self.parts[0]
 
     def cell_exists(self, i, j):
         """True when row label i and column label j share a cell.
@@ -130,8 +133,14 @@ class FerrersDiagram:
 
     @cached_property
     def _degree_of(self):
-        # Entry v is the degree of vertex v, the sink included.
-        return tuple(len(nbrs) for nbrs in self._neighbors_of)
+        # Entry v is the degree of vertex v, the sink included: a row's
+        # part or a column's height.
+        out = [0] * (self.n + 1)
+        for v, p in zip(self.row_labels, self.parts):
+            out[v] = p
+        for x, v in enumerate(self.col_labels):
+            out[v] = self.col_height(x)
+        return tuple(out)
 
     def _vertex(self, v):
         if isinstance(v, int) and 0 <= v <= self.n:
@@ -165,27 +174,11 @@ class FerrersDiagram:
         return out
 
     def spanning_tree_count(self):
-        """Number of spanning trees, via fraction-free elimination of the
-        reduced Laplacian (exact integers throughout)."""
-        n = self.n
-        idx = {v: k for k, v in enumerate(range(1, n + 1))}
-        m = [[0] * n for _ in range(n)]
-        for v in range(1, n + 1):
-            m[idx[v]][idx[v]] = self.degree(v)
-            for u in self.neighbors(v):
-                if u != 0:
-                    m[idx[v]][idx[u]] -= 1
-        prev = 1
-        for k in range(n - 1):
-            pivot = m[k][k]
-            if pivot == 0:
-                raise RuntimeError("reduced Laplacian of %r is singular" % (self.parts,))
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = pivot
-        return m[n - 1][n - 1]
+        """Number of spanning trees, by Ehrenborg and van Willigenburg's
+        product over the parts and the column heights,
+        prod(parts) * prod(heights) / (parts[0] * heights[0])."""
+        heights = map(self.col_height, range(1, self.parts[0]))
+        return math.prod(self.parts[1:]) * math.prod(heights)
 
     @classmethod
     def from_row_labels(cls, rows, n):

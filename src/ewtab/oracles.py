@@ -168,6 +168,31 @@ def enumerate_canonical_decorated(diagram, budget=None):
             yield t, deco
 
 
+def _spanning_trees_by_elimination(diagram):
+    """Number of spanning trees, via fraction-free elimination of the
+    reduced Laplacian (exact integers throughout): the independent route
+    to FerrersDiagram.spanning_tree_count."""
+    n = diagram.n
+    idx = {v: k for k, v in enumerate(range(1, n + 1))}
+    m = [[0] * n for _ in range(n)]
+    for v in range(1, n + 1):
+        m[idx[v]][idx[v]] = diagram.degree(v)
+        for u in diagram.neighbors(v):
+            if u != 0:
+                m[idx[v]][idx[u]] -= 1
+    prev = 1
+    for k in range(n - 1):
+        pivot = m[k][k]
+        if pivot == 0:
+            raise RuntimeError("reduced Laplacian of %r is singular" % (diagram.parts,))
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return m[n - 1][n - 1]
+
+
 def _add_grain(heights, v):
     out = list(heights)
     out[v - 1] += 1
@@ -227,14 +252,20 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
         for deco in itertools.product(*[range(b) for b in nu])
     ]
 
-    # counting: recurrent configurations, spanning trees, and the product
-    # formula over tableaux must agree; minimal ones match tableaux
+    # counting: recurrent configurations, spanning trees (the product
+    # formula and the elimination), and the product formula over tableaux
+    # must agree; minimal ones match tableaux
     trees_count = d.spanning_tree_count()
+    eliminated = _spanning_trees_by_elimination(d)
+    detail = "recurrent=%d trees=%d decorated=%d minimal=%d tableaux=%d" % (
+        len(rec), trees_count, len(decorated), len(minimal), len(tabs))
+    if eliminated != trees_count:
+        detail += " elimination=%d" % eliminated
     add(
         "counting",
-        len(rec) == trees_count == len(decorated) and len(minimal) == len(tabs),
-        detail="recurrent=%d trees=%d decorated=%d minimal=%d tableaux=%d"
-        % (len(rec), trees_count, len(decorated), len(minimal), len(tabs)),
+        len(rec) == trees_count == eliminated == len(decorated)
+        and len(minimal) == len(tabs),
+        detail=detail,
     )
 
     # tableau round trip against the brute-force minimal list

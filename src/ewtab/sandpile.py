@@ -35,6 +35,7 @@ __all__ = [
     "canonical_bounds_from_blocks",
     "stable_bounds_from_blocks",
     "classify_decoration",
+    "require_canonical",
     "decompose",
 ]
 
@@ -109,36 +110,39 @@ def stabilize(diagram, heights):
 def _avalanche(diagram, heights, what):
     """The canonical blocks of stable heights (see canonical_toppling), or
     None when the avalanche stalls; `what` names the caller's test in the
-    error raised for unstable heights, which come checked by the caller."""
-    n = diagram.n
-    degs = diagram.degrees
-    if not all(h < g for h, g in zip(heights, degs)):
-        raise DomainError("%s needs a stable configuration" % what)
-    work = list(heights)
-    for u in diagram.neighbors(0):
-        work[u - 1] += 1
-    toppled = [False] * (n + 1)
-    toppled[0] = True
+    error raised for unstable heights, which come checked by the caller.
+
+    This is the block core's own count: a vertex topples once its
+    neighbors in the earlier blocks number at least its degree minus its
+    height. The blocks alternate sides, so each round counts, for the
+    waiting vertices of one side, the toppled labels of the other side,
+    and the next block is the waiting vertices that have what they need.
+    No neighbor tuple is read; every edge is counted once, at its later
+    end, which the final check holds against the diagram's edge count.
+    """
+    need = [0]
+    for h, g in zip(heights, diagram.degrees):
+        if h >= g:
+            raise DomainError("%s needs a stable configuration" % what)
+        need.append(g - h)
+    got = [0] * len(need)
+    # ascending, so that every block comes out sorted
+    waiting = [diagram.row_labels[1:], diagram.col_labels[::-1]]
+    toppled = [1, 0]  # masks of the toppled rows (the sink) and columns
     blocks = [(0,)]
-    done = 1
-    while done < n + 1:
-        block = [
-            v
-            for v in range(1, n + 1)
-            if not toppled[v] and work[v - 1] >= degs[v - 1]
-        ]
+    column = 1
+    while waiting[0] or waiting[1]:
+        wait = waiting[column]
+        _count_neighbors(got, toppled[1 - column], wait, column)
+        block = [v for v in wait if got[v] >= need[v]]
         if not block:
             return None
-        for v in block:
-            toppled[v] = True
-            work[v - 1] -= degs[v - 1]
-            for u in diagram.neighbors(v):
-                if u != 0:
-                    work[u - 1] += 1
+        waiting[column] = [v for v in wait if got[v] < need[v]]
+        toppled[column] |= _mask(block)
         blocks.append(tuple(block))
-        done += len(block)
-    if tuple(work) != heights:
-        raise RuntimeError("avalanche of %r did not return to the start" % (heights,))
+        column = 1 - column
+    if sum(got) != diagram.edge_count:
+        raise RuntimeError("avalanche of %r did not count every edge once" % (heights,))
     return tuple(blocks)
 
 
@@ -273,6 +277,14 @@ def classify_decoration(blocks, decorations):
     if all(a < b for a, b in zip(decorations, stable_bounds_from_blocks(blocks))):
         return "stable"
     return "invalid"
+
+
+def require_canonical(blocks, decorations):
+    """DomainError unless classify_decoration calls the decorations
+    canonical for these blocks."""
+    kind = classify_decoration(blocks, decorations)
+    if kind != "canonical":
+        raise DomainError("decoration is %s, not canonical" % kind)
 
 
 def decompose(diagram, heights):

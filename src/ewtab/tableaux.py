@@ -426,7 +426,5 @@ def decorated_from_config(diagram, heights):
 def config_from_decorated(t, decorations):
     """Inverse of decorated_from_config; requires a canonical decoration."""
     ensure_valid(t)
-    kind = classify_decoration(t, decorations)
-    if kind != "canonical":
-        raise DomainError("decoration is %s, not canonical" % kind)
+    sandpile.require_canonical(canonical_toppling(t), decorations)
     return tuple(b + a for b, a in zip(minimal_config(t), decorations))

@@ -92,9 +92,7 @@ def perm_to_tree(word, decorations):
     word = tuple(int(x) for x in word)
     decorations = tuple(int(a) for a in decorations)
     blocks = permutations.run_blocks(word)
-    kind = sandpile.classify_decoration(blocks, decorations)
-    if kind != "canonical":
-        raise DomainError("decoration is %s, not canonical" % kind)
+    sandpile.require_canonical(blocks, decorations)
     parents = [None] * (len(word) + 1)
     for k in range(1, len(blocks)):
         prev = permutations.in_block_order(blocks[k - 1], k)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from ewtab import cli, permutations, sandpile, serialize, trees
+from ewtab import cli, permutations, sandpile, serialize, tableaux, trees
 from ewtab.cli import main
-from ewtab.diagrams import enumerate_diagrams
+from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
+from ewtab.errors import DomainError
+from ewtab.tableaux import EWTableau
 
 
 def run(capsys, *argv):
@@ -435,3 +437,23 @@ def test_convert_rejects_what_encodes_no_recurrent_config(capsys, argv):
     assert code == 3
     assert err.startswith("error:")
     assert out == ""
+
+
+@pytest.mark.parametrize("entry", ["cli", "trees.perm_to_tree",
+                                   "tableaux.config_from_decorated"])
+def test_every_entry_rejects_a_stable_decoration_with_the_same_text(capsys, entry):
+    t = EWTableau(FerrersDiagram((3, 2, 1)), ((1, 1, 1), (0, 1), (0,)))
+    word, deco = permutations.from_tableau(t), (0, 0, 1, 0, 0)
+    assert tableaux.classify_decoration(t, deco) == "stable"
+    if entry == "cli":
+        code, out, err = run(capsys, "convert", "--from", "perm", "--to", "config",
+                             "--data", serialize.perm_to_text(word, deco))
+        assert (code, out) == (3, "")
+    else:
+        with pytest.raises(DomainError) as e:
+            if entry == "trees.perm_to_tree":
+                trees.perm_to_tree(word, deco)
+            else:
+                tableaux.config_from_decorated(t, deco)
+        err = "error: %s\n" % e.value
+    assert err == "error: decoration is stable, not canonical\n"

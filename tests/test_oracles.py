@@ -175,3 +175,23 @@ def test_certify_size_checks_run_once_per_n(monkeypatch):
 def test_certify_rejects_negative_grain_steps(d321):
     with pytest.raises(DomainError, match="grain_steps"):
         oracles.certify_shape(d321, grain_steps=-5)
+
+
+def test_spanning_tree_product_equals_elimination():
+    shapes = [d for m in range(2, 13) for d in enumerate_diagrams(m)]
+    assert len(shapes) == 2047
+    shapes += [FerrersDiagram(range(k, 0, -1)) for k in (32, 64)]
+    for d in shapes:
+        assert d.spanning_tree_count() == oracles._spanning_trees_by_elimination(d), d.parts
+
+
+def test_certify_counting_compares_product_with_elimination(monkeypatch):
+    d = FerrersDiagram((3, 2, 1))
+    counting = oracles.certify_shape(d, grain_steps=0)["properties"][0]
+    assert counting == {"name": "counting", "pass": True,
+                        "detail": "recurrent=4 trees=4 decorated=4 minimal=3 tableaux=3"}
+    monkeypatch.setattr(oracles, "_spanning_trees_by_elimination", lambda d: 5)
+    counting = oracles.certify_shape(d, grain_steps=0)["properties"][0]
+    assert counting == {
+        "name": "counting", "pass": False,
+        "detail": "recurrent=4 trees=4 decorated=4 minimal=3 tableaux=3 elimination=5"}

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
 from ewtab.errors import DomainError
-from ewtab import oracles, permutations, sandpile, tableaux
+from ewtab import cli, oracles, permutations, sandpile, tableaux
 
 
 def test_is_stable(d321):
@@ -326,3 +326,108 @@ def test_decorated_from_config_checks_heights_once(monkeypatch, d5332):
     tableaux.decorated_from_config(d5332, (0, 0, 2, 1, 0, 0, 3, 2))
     permutations.decorated_from_config(d5332, (0, 0, 2, 1, 0, 0, 3, 2))
     assert calls == ["heights"] * 2
+
+
+def reference_avalanche(diagram, heights, what):
+    """The avalanche as a loop over the edges: every block rescans the
+    vertices 1..n and sends one grain along every edge of its members."""
+    n = diagram.n
+    degs = diagram.degrees
+    if not all(h < g for h, g in zip(heights, degs)):
+        raise DomainError("%s needs a stable configuration" % what)
+    work = list(heights)
+    for u in diagram.neighbors(0):
+        work[u - 1] += 1
+    toppled = [False] * (n + 1)
+    toppled[0] = True
+    blocks = [(0,)]
+    done = 1
+    while done < n + 1:
+        block = [
+            v
+            for v in range(1, n + 1)
+            if not toppled[v] and work[v - 1] >= degs[v - 1]
+        ]
+        if not block:
+            return None
+        for v in block:
+            toppled[v] = True
+            work[v - 1] -= degs[v - 1]
+            for u in diagram.neighbors(v):
+                if u != 0:
+                    work[u - 1] += 1
+        blocks.append(tuple(block))
+        done += len(block)
+    if tuple(work) != heights:
+        raise RuntimeError("avalanche of %r did not return to the start" % (heights,))
+    return tuple(blocks)
+
+
+def avalanche_against_reference(d, heights):
+    heights = tuple(heights)
+    expected = reference_avalanche(d, heights, "test")
+    assert sandpile._avalanche(d, heights, "test") == expected, (d.parts, heights)
+    return expected
+
+
+def test_avalanche_matches_edge_loop_on_every_stable_configuration():
+    seen = stalls = 0
+    for m in range(2, 8):
+        for d in enumerate_diagrams(m):
+            for c in oracles.enumerate_stable(d):
+                seen += 1
+                stalls += avalanche_against_reference(d, c) is None
+    assert (seen, stalls) == (8210, 5814)
+
+
+@pytest.mark.parametrize("n", [50, 200, 1000])
+def test_avalanche_matches_edge_loop_on_random_words(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        word = tuple(rng.sample(range(1, n + 1), n))
+        deco = tuple(rng.randrange(b) for b in permutations.canonical_bounds(word))
+        d, heights = permutations.config_from_decorated(word, deco)
+        assert avalanche_against_reference(d, heights) == permutations.run_blocks(word)
+        # below a minimal configuration the avalanche stalls
+        low = list(permutations.minimal_config(word))
+        low[rng.choice([v for v, h in enumerate(low) if h])] -= 1
+        assert avalanche_against_reference(d, low) is None
+        # random grains taken away: a stall or not, both loops must agree
+        thin = [h - rng.randint(0, h) if rng.random() < 0.02 else h for h in heights]
+        avalanche_against_reference(d, thin)
+
+
+def test_config_paths_walk_no_edges(monkeypatch, capsys):
+    fresh = FerrersDiagram((5, 3, 3, 2))
+    assert fresh.degrees == (1, 1, 3, 3, 3, 2, 4, 4)
+    assert "_neighbors_of" not in vars(fresh)
+
+    c = (0, 0, 2, 1, 0, 0, 3, 2)
+    argv = ["convert", "--from", "config", "--shape", "5,3,3,2", "--data", "0,0,2,1,0,0,3,2"]
+
+    def run_all(d):
+        out = [
+            sandpile.canonical_toppling(d, c),
+            sandpile.decompose(d, c),
+            sandpile.burning_order(d, c),
+            sandpile.is_recurrent(d, c),
+            sandpile.is_recurrent(d, (0,) * 8),
+            permutations.decorated_from_config(d, c),
+            tableaux.decorated_from_config(d, c),
+        ]
+        for dst in ("config", "tableau", "perm", "tree"):
+            for fmt in ("text", "json"):
+                out.append((cli.main(argv + ["--to", dst, "--format", fmt]),
+                            capsys.readouterr()))
+        return out
+
+    expected = run_all(FerrersDiagram((5, 3, 3, 2)))
+
+    def no_edge_walk(*args):
+        raise RuntimeError("an edge was walked")
+
+    monkeypatch.setattr(FerrersDiagram, "neighbors", no_edge_walk)
+    monkeypatch.setattr(FerrersDiagram, "_neighbors_of", property(no_edge_walk))
+    assert run_all(FerrersDiagram((5, 3, 3, 2))) == expected
+    assert expected[0] == ((0,), (1, 2, 7), (3,), (8,), (4, 6), (5,))
+    assert [code for code, _ in expected[7:]] == [0] * 8
