@@ -7,12 +7,15 @@ Subcommands:
   enumerate  stream brute-force enumerations of a shape
   certify    run the full cross-check suite over one or many shapes
 
-Exit codes: 0 success, 2 malformed input or usage, 3 domain or budget
-violation, 4 certification found a failing property.
+Exit codes: 0 success, 1 the reader of stdout went away (a broken pipe,
+as in `ewtab enumerate ... | head -1`), 2 malformed input or usage or an
+--out FILE that cannot be written, 3 domain or budget violation, 4
+certification found a failing property.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import FormatError, DomainError, BudgetError
@@ -363,12 +366,23 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     stream = sys.stdout
-    opened = False
-    try:
-        if args.out:
+    if args.out:
+        try:
             stream = open(args.out, "w")
-            opened = True
-        return args.func(args, stream)
+        except OSError as e:
+            print("error: cannot write %s: %s" % (args.out, e.strerror),
+                  file=sys.stderr)
+            return 2
+    try:
+        code = args.func(args, stream)
+        stream.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush
+        # at exit stays quiet (the recipe of the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except FormatError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
@@ -376,5 +390,5 @@ def main(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return 3
     finally:
-        if opened:
+        if stream is not sys.stdout:
             stream.close()

@@ -13,7 +13,6 @@ through the EWTAB_ORACLE_BUDGET environment variable or the budget argument.
 
 import collections
 import functools
-import heapq
 import itertools
 import math
 import os
@@ -98,11 +97,6 @@ def _burner(diagram):
         return count == n
 
     return burns
-
-
-def _burns_completely(diagram, heights):
-    """The independent burning test of one configuration."""
-    return _burner(diagram)(heights)
 
 
 def enumerate_recurrent(diagram, budget=None):
@@ -475,7 +469,7 @@ def _tree_count(n):
     """(intransitive trees on {0..n}, canonically decorated words of
     length n): Postnikov's count, each side by brute force."""
     intransitive = sum(
-        1 for parents in _all_prufer_trees(n) if _is_intransitive_naive(parents)
+        1 for parents in _all_trees(n) if _is_intransitive_naive(parents)
     )
     decorated = sum(
         math.prod(permutations.canonical_bounds(p))
@@ -484,41 +478,20 @@ def _tree_count(n):
     return intransitive, decorated
 
 
-def _all_prufer_trees(n):
-    """Parent arrays of all labeled trees on {0..n}, rooted at 0, decoded
-    from Prüfer sequences."""
-    verts = list(range(n + 1))
-    for seq in itertools.product(verts, repeat=max(0, n - 1)):
-        degs = [1] * (n + 1)
-        for v in seq:
-            degs[v] += 1
-        heap = [v for v in verts if degs[v] == 1]
-        heapq.heapify(heap)
-        edges = []
-        for v in seq:
-            leaf = heapq.heappop(heap)
-            degs[leaf] -= 1
-            edges.append((leaf, v))
-            degs[v] -= 1
-            if degs[v] == 1:
-                heapq.heappush(heap, v)
-        last = [v for v in verts if degs[v] == 1]
-        edges.append((last[0], last[1]))
-        adj = {v: [] for v in verts}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        parents = [None] * (n + 1)
-        stack = [0]
-        seen = {0}
-        while stack:
-            u = stack.pop()
-            for nb in adj[u]:
-                if nb not in seen:
-                    seen.add(nb)
-                    parents[nb] = u
-                    stack.append(nb)
-        yield tuple(parents)
+def _all_trees(n):
+    """Parent arrays of all labeled trees on {0..n}, rooted at 0: every
+    array whose parent walk from each vertex reaches 0 within n steps."""
+    for rest in itertools.product(range(n + 1), repeat=n):
+        parents = (None,) + rest
+        for u in rest:  # the walk from a vertex, after its first step
+            for _ in range(n):
+                if u == 0:
+                    break
+                u = parents[u]
+            else:
+                break
+        else:
+            yield parents
 
 
 def _is_intransitive_naive(parents):

@@ -108,9 +108,11 @@ def stabilize(diagram, heights):
 
 
 def _avalanche(diagram, heights, what):
-    """The canonical blocks of stable heights (see canonical_toppling), or
-    None when the avalanche stalls; `what` names the caller's test in the
-    error raised for unstable heights, which come checked by the caller.
+    """(blocks, got) for stable heights: the canonical blocks (see
+    canonical_toppling) and, per vertex label, its neighbors in the earlier
+    blocks; None when the avalanche stalls. `what` names the caller's test
+    in the error raised for unstable heights, which come checked by the
+    caller.
 
     This is the block core's own count: a vertex topples once its
     neighbors in the earlier blocks number at least its degree minus its
@@ -143,15 +145,15 @@ def _avalanche(diagram, heights, what):
         column = 1 - column
     if sum(got) != diagram.edge_count:
         raise RuntimeError("avalanche of %r did not count every edge once" % (heights,))
-    return tuple(blocks)
+    return tuple(blocks), got
 
 
 def burning_order(diagram, heights):
     """Order in which vertices burn after the sink topples, or None if the
     avalanche stalls (the configuration is not recurrent). Input must be
     stable. The order is the canonical blocks after the sink, in turn."""
-    blocks = _avalanche(diagram, _check_config(diagram, heights), "burning test")
-    return None if blocks is None else [v for block in blocks[1:] for v in block]
+    done = _avalanche(diagram, _check_config(diagram, heights), "burning test")
+    return None if done is None else [v for block in done[0][1:] for v in block]
 
 
 def is_recurrent(diagram, heights):
@@ -167,14 +169,14 @@ def canonical_toppling(diagram, heights):
     blocks alternate between column-side and row-side vertices. Returns a
     tuple of sorted tuples starting with (0,).
     """
-    return _canonical_blocks(diagram, _check_config(diagram, heights))
+    return _recurrent_avalanche(diagram, _check_config(diagram, heights))[0]
 
 
-def _canonical_blocks(diagram, heights):
-    blocks = _avalanche(diagram, heights, "canonical toppling")
-    if blocks is None:
+def _recurrent_avalanche(diagram, heights):
+    done = _avalanche(diagram, heights, "canonical toppling")
+    if done is None:
         raise DomainError("configuration is not recurrent: avalanche stalls")
-    return blocks
+    return done
 
 
 def level(diagram, heights):
@@ -186,8 +188,10 @@ def level(diagram, heights):
 
 def minimal_recurrent(diagram, heights):
     """The least recurrent configuration sharing the canonical toppling of
-    `heights`. Idempotent: minimal inputs come back unchanged."""
-    return minimal_from_blocks(canonical_toppling(diagram, heights))
+    `heights`. Idempotent: minimal inputs come back unchanged. Each vertex
+    holds its degree minus its neighbors in the earlier blocks."""
+    got = _recurrent_avalanche(diagram, _check_config(diagram, heights))[1]
+    return tuple(g - s for g, s in zip(diagram.degrees, got[1:]))
 
 
 def canonical_bounds(diagram, heights):
@@ -289,11 +293,13 @@ def require_canonical(blocks, decorations):
 
 def decompose(diagram, heights):
     """(blocks, decorations) of a recurrent configuration: its canonical
-    blocks and its surplus over the minimal configuration of those blocks.
-    The decorations are canonical."""
+    blocks and its surplus over the minimal configuration of those blocks,
+    read off the avalanche's own count (the minimal height is the degree
+    minus the neighbors in the earlier blocks). The decorations are
+    canonical."""
     heights = _check_config(diagram, heights)
-    blocks = _canonical_blocks(diagram, heights)
-    deco = tuple(h - b for h, b in zip(heights, minimal_from_blocks(blocks)))
+    blocks, got = _recurrent_avalanche(diagram, heights)
+    deco = tuple(h + s - g for h, s, g in zip(heights, got[1:], diagram.degrees))
     if any(a < 0 for a in deco):
         raise RuntimeError("%r lies below its minimal configuration" % (heights,))
     return blocks, deco

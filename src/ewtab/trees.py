@@ -30,35 +30,42 @@ def check_tree(parents):
     """Normalize and validate a parent array: entry 0 is None, every other
     entry is a vertex, every vertex reaches the root. Returns the tuple."""
     parents = tuple(parents)
-    _depths(parents)
+    _levels(parents)
     return parents
 
 
-def _depths(parents):
-    """Depth of every vertex of a parent array, validating it on the way."""
+def _levels(parents):
+    """Vertices of a parent array grouped by depth, each level a sorted
+    tuple, validating the array on the way: one breadth-first walk from
+    the root over the children lists. A vertex it never reaches lies on or
+    below a cycle, named by its first repeated vertex on the parent walk
+    from the smallest such vertex."""
     n = len(parents) - 1
     if n < 1:
         raise DomainError("a tree needs at least one non-root vertex")
     if parents[0] is not None:
         raise DomainError("the root 0 must have parent None")
+    children = [[] for _ in range(n + 1)]
     for v in range(1, n + 1):
         p = parents[v]
         if not isinstance(p, int) or not 0 <= p <= n or p == v:
             raise DomainError("vertex %d has invalid parent %r" % (v, p))
-    depth = [None] * (n + 1)
-    depth[0] = 0
-    for v in range(1, n + 1):
-        path = []
-        u = v
-        while depth[u] is None:
-            path.append(u)
-            depth[u] = -1  # on the current path
+        children[p].append(v)
+    levels = [(0,)]
+    while True:
+        level = sorted([v for u in levels[-1] for v in children[u]])
+        if not level:
+            break
+        levels.append(tuple(level))
+    if sum(map(len, levels)) <= n:
+        seen = {v for level in levels for v in level}
+        u = min(v for v in range(n + 1) if v not in seen)
+        path = set()
+        while u not in path:
+            path.add(u)
             u = parents[u]
-        if depth[u] == -1:
-            raise DomainError("parent array contains a cycle through %d" % u)
-        for w in reversed(path):
-            depth[w] = depth[parents[w]] + 1
-    return depth
+        raise DomainError("parent array contains a cycle through %d" % u)
+    return tuple(levels)
 
 
 def is_intransitive(parents):
@@ -75,14 +82,7 @@ def _intransitive(parents):
 def bfs_levels(parents):
     """Vertices grouped by depth, each level a sorted tuple; level 0 is
     always (0,)."""
-    return _levels(_depths(tuple(parents)))
-
-
-def _levels(depth):
-    levels = [[] for _ in range(max(depth) + 1)]
-    for v, k in enumerate(depth):
-        levels[k].append(v)
-    return tuple(tuple(level) for level in levels)
+    return _levels(tuple(parents))
 
 
 def perm_to_tree(word, decorations):
@@ -107,10 +107,9 @@ def perm_to_tree(word, decorations):
 def tree_to_perm(parents):
     """Read the word and decorations back off an intransitive tree."""
     parents = tuple(parents)
-    depth = _depths(parents)
+    levels = _levels(parents)
     if not _intransitive(parents):
         raise DomainError("tree is not intransitive")
-    levels = _levels(depth)
     word = permutations.word_from_blocks(levels)
     deco = [0] * len(word)
     for k in range(1, len(levels)):

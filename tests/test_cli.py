@@ -1,9 +1,16 @@
-"""End-to-end checks of the command line interface, run in process."""
+"""End-to-end checks of the command line interface, run in process, but
+for the broken pipe, which needs a real one."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ewtab
 from ewtab import cli, permutations, sandpile, serialize, tableaux, trees
 from ewtab.cli import main
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
@@ -353,6 +360,29 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "12738645"
+
+
+@pytest.mark.parametrize("where, code", [("missing/x", errno.ENOENT), ("", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_out_flag_reports_a_file_it_cannot_write(capsys, tmp_path, where, code):
+    target = tmp_path / where
+    assert run(capsys, "graph", "--shape", "1", "--out", str(target)) == (
+        2, "", "error: cannot write %s: %s\n" % (target, os.strerror(code)))
+
+
+def test_broken_pipe_ends_quietly():
+    # 128,000 lines, more than a pipe buffer holds: the writer is still
+    # writing when the reader goes away
+    env = dict(os.environ, PYTHONPATH=str(Path(ewtab.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ewtab", "enumerate", "--shape", "5,5,5,5",
+         "--kind", "stable"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"0,0,0,0,0,0,0,0\n"
+    proc.stdout.close()
+    err = proc.communicate(timeout=60)[1].decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 def test_dot_only_for_trees(capsys):

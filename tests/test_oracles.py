@@ -151,7 +151,7 @@ def test_certify_size_checks_run_once_per_n(monkeypatch):
     oracles._words_by_shape.cache_clear()
     oracles._tree_count.cache_clear()
     calls = {"trees": 0, "shape_of_word": 0}
-    all_trees = oracles._all_prufer_trees
+    all_trees = oracles._all_trees
     shape_of_word = permutations.shape_of_word
 
     def counted_trees(n):
@@ -162,7 +162,7 @@ def test_certify_size_checks_run_once_per_n(monkeypatch):
         calls["shape_of_word"] += 1
         return shape_of_word(word)
 
-    monkeypatch.setattr(oracles, "_all_prufer_trees", counted_trees)
+    monkeypatch.setattr(oracles, "_all_trees", counted_trees)
     monkeypatch.setattr(permutations, "shape_of_word", counted_shape_of_word)
     first, second = FerrersDiagram((3, 2, 1)), FerrersDiagram((4, 2))
     assert first.n == second.n == 5

@@ -155,7 +155,7 @@ def test_is_recurrent_agrees_with_independent_burning():
             for c in oracles.enumerate_stable(d):
                 seen += 1
                 assert sandpile.is_recurrent(d, c) == (
-                    oracles._burns_completely(d, c)), (d.parts, c)
+                    oracles._burner(d)(c)), (d.parts, c)
     assert seen == 846
 
 
@@ -328,6 +328,33 @@ def test_decorated_from_config_checks_heights_once(monkeypatch, d5332):
     assert calls == ["heights"] * 2
 
 
+def test_decompose_reads_the_avalanche_count(monkeypatch, capsys):
+    # the surplus comes from the avalanche's own neighbour count, so no
+    # second pass over the blocks builds the minimal configuration
+    def no_second_pass(blocks):
+        raise RuntimeError("minimal_from_blocks was called")
+
+    monkeypatch.setattr(sandpile, "minimal_from_blocks", no_second_pass)
+    d = FerrersDiagram((5, 5, 5, 4, 4))
+    c = (4, 3, 1, 3, 3, 4, 2, 1, 4)
+    word = (6, 9, 5, 4, 2, 1, 3, 7, 8)
+    deco = (1, 0, 1, 1, 1, 0, 2, 1, 0)
+    assert sandpile.decompose(d, c) == (((0,), (6, 9), (1, 2, 4, 5), (3, 7, 8)), deco)
+    assert sandpile.minimal_recurrent(d, c) == (3, 3, 0, 2, 2, 4, 0, 0, 4)
+    assert permutations.decorated_from_config(d, c) == (word, deco)
+    t, a = tableaux.decorated_from_config(d, c)
+    assert (t.row_strings(), a) == (("11111", "01101", "01101", "0110", "0110"), deco)
+    argv = ["convert", "--from", "config", "--shape", "5,5,5,4,4", "--data", "4,3,1,3,3,4,2,1,4"]
+    expected = {
+        "tableau": "11111/01101/01101/0110/0110^1,0,1,1,1,0,2,1,0\n",
+        "perm": "6^0 9^0 - 5^1 4^1 2^0 1^1 - 3^1 7^2 8^1\n",
+        "tree": ".,6,9,2,6,6,0,4,2,0\n",
+    }
+    for dst, text in expected.items():
+        assert cli.main(argv + ["--to", dst]) == 0
+        assert capsys.readouterr() == (text, "")
+
+
 def reference_avalanche(diagram, heights, what):
     """The avalanche as a loop over the edges: every block rescans the
     vertices 1..n and sends one grain along every edge of its members."""
@@ -366,7 +393,13 @@ def reference_avalanche(diagram, heights, what):
 def avalanche_against_reference(d, heights):
     heights = tuple(heights)
     expected = reference_avalanche(d, heights, "test")
-    assert sandpile._avalanche(d, heights, "test") == expected, (d.parts, heights)
+    result = sandpile._avalanche(d, heights, "test")
+    if expected is None:
+        assert result is None, (d.parts, heights)
+        return None
+    blocks, got = result
+    assert blocks == expected, (d.parts, heights)
+    assert tuple(got[1:]) == sandpile.stable_bounds_from_blocks(blocks), (d.parts, heights)
     return expected
 
 

@@ -1,6 +1,7 @@
 """Intransitive trees and their correspondence with decorated permutations."""
 
 import itertools
+import random
 
 import pytest
 
@@ -100,7 +101,7 @@ def test_tree_count_identity():
                 assert parents not in produced
                 produced.add(parents)
         naive = [
-            p for p in oracles._all_prufer_trees(n)
+            p for p in oracles._all_trees(n)
             if oracles._is_intransitive_naive(p)
         ]
         assert len(naive) == len(set(naive))
@@ -119,7 +120,7 @@ def test_to_dot():
 def test_is_intransitive_matches_naive_on_every_tree(n, count):
     # count: intransitive trees on n + 1 labeled vertices (OEIS A007889)
     found = 0
-    for parents in oracles._all_prufer_trees(n):
+    for parents in oracles._all_trees(n):
         fast = trees.is_intransitive(parents)
         assert fast == oracles._is_intransitive_naive(parents)
         found += fast
@@ -134,3 +135,105 @@ def test_bfs_levels_on_a_long_path():
     closed = path[:n] + (1,)  # the far end points back into the path
     with pytest.raises(DomainError):
         trees.bfs_levels(closed)
+
+
+def reference_depths(parents):
+    """Depth of every vertex of a parent array, validating it on the way."""
+    n = len(parents) - 1
+    if n < 1:
+        raise DomainError("a tree needs at least one non-root vertex")
+    if parents[0] is not None:
+        raise DomainError("the root 0 must have parent None")
+    for v in range(1, n + 1):
+        p = parents[v]
+        if not isinstance(p, int) or not 0 <= p <= n or p == v:
+            raise DomainError("vertex %d has invalid parent %r" % (v, p))
+    depth = [None] * (n + 1)
+    depth[0] = 0
+    for v in range(1, n + 1):
+        path = []
+        u = v
+        while depth[u] is None:
+            path.append(u)
+            depth[u] = -1  # on the current path
+            u = parents[u]
+        if depth[u] == -1:
+            raise DomainError("parent array contains a cycle through %d" % u)
+        for w in reversed(path):
+            depth[w] = depth[parents[w]] + 1
+    return depth
+
+
+def reference_levels(parents):
+    """The levels as a depth walk that marks paths, then buckets."""
+    depth = reference_depths(tuple(parents))
+    levels = [[] for _ in range(max(depth) + 1)]
+    for v, k in enumerate(depth):
+        levels[k].append(v)
+    return tuple(tuple(level) for level in levels)
+
+
+def levels_or_error(levels, parents):
+    try:
+        return levels(parents)
+    except DomainError as e:
+        return "error: %s" % e
+
+
+def assert_levels_match_reference(parents):
+    """Same levels or the same error text; True when parents is a tree."""
+    expected = levels_or_error(reference_levels, parents)
+    assert levels_or_error(trees.bfs_levels, parents) == expected, parents
+    is_tree = not isinstance(expected, str)
+    checked = levels_or_error(trees.check_tree, parents)
+    assert checked == (tuple(parents) if is_tree else expected)
+    return is_tree
+
+
+def test_levels_match_reference_on_every_small_array():
+    seen = found = 0
+    for n in range(6):
+        for rest in itertools.product(range(n + 1), repeat=n):
+            found += assert_levels_match_reference((None,) + rest)
+            seen += 1
+    # Cayley: (n + 1)^(n - 1) trees among the (n + 1)^n arrays for n >= 1
+    assert (seen, found) == (1 + 2 + 9 + 64 + 625 + 7776, 1 + 3 + 16 + 125 + 1296)
+
+
+def test_levels_match_reference_on_bad_entries():
+    assert_levels_match_reference(())
+    for n in range(1, 4):
+        for rest in itertools.product(range(n + 1), repeat=n):
+            base = (None,) + rest
+            for v in range(n + 1):
+                for bad in (None, -1, n + 1, "1", v):
+                    assert_levels_match_reference(base[:v] + (bad,) + base[v + 1:])
+
+
+def test_levels_match_reference_on_random_arrays():
+    rng = random.Random(14)
+    found = 0
+    for k in range(2000):
+        n = rng.randint(1, 300)
+        if k % 2:
+            # a random tree: each vertex hangs below one placed before it
+            order = [0] + rng.sample(range(1, n + 1), n)
+            parents = [None] * (n + 1)
+            for i in range(1, n + 1):
+                parents[order[i]] = order[rng.randrange(i)]
+        else:
+            # any parent but the vertex itself: mostly cycles
+            parents = [None]
+            for v in range(1, n + 1):
+                p = rng.randrange(n)
+                parents.append(p + (p >= v))
+        found += assert_levels_match_reference(tuple(parents))
+    assert found >= 1000
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_all_trees_is_cayleys_count(n):
+    found = list(oracles._all_trees(n))
+    assert len(found) == len(set(found)) == (n + 1) ** (n - 1)
+    for parents in found:
+        assert trees.check_tree(parents) == parents
