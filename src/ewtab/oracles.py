@@ -121,11 +121,12 @@ def enumerate_tableaux(diagram, budget=None):
     nodes = [0]
 
     def clashes(done, row):
+        width = len(row)
         for prior in done:
-            for x in range(len(row)):
-                for x2 in range(x + 1, len(row)):
-                    a, b = prior[x], prior[x2]
-                    c, d = row[x], row[x2]
+            for x in range(width):
+                a, c = prior[x], row[x]
+                for x2 in range(x + 1, width):
+                    b, d = prior[x2], row[x2]
                     if a == d and b == c and a != b:
                         return True
         return False

@@ -183,14 +183,15 @@ def stabilize(word, decorations, trace=False):
     (1 in the first block, for the sink; 0 behind an emptied block).
 
     Repeatedly: settle the leftmost letter at or over its bound beyond the
-    first block of its kind (two blocks towards the front, one grain to
-    each witness); once none remain, topple the first-block letters at or
-    over their bounds (exactly the unstable vertices of the encoded
-    configuration) in word order. A toppled letter pays its witnesses and
-    jumps behind the last block of the other kind holding a letter it
-    beats; when the first descending block empties, the next block joins
-    the first and the later ones move up by two. Stops when neither move
-    exists, with the canonically decorated word of the graph stabilization.
+    first block of its kind (two blocks towards the front, one grain to each
+    witness); once none remain, topple the first-block letters at or over
+    their bounds as the round starts (exactly the unstable vertices of the
+    encoded configuration) in word order. A toppled letter pays its
+    witnesses and jumps behind the last block of the other kind holding a
+    letter it beats, scanning those from the back; when the first descending
+    block empties, the next block joins the first and the later ones move up
+    by two. Stops when neither move exists, with the canonically decorated
+    word of the graph stabilization.
 
     The search for a settle walks each block's mask bit by bit in word
     order and stops at the first ready letter. It need not start at block 3
@@ -216,82 +217,81 @@ def stabilize(word, decorations, trace=False):
     masks = [sandpile._mask(block) for block in _runs(word)]
     events = []
     cap = 10_000 + 40 * (n + 2) ** 3 * (sum(deco) + n + 2)
-
-    def beaten(x, k, j):
-        """The letters of block j that x beats from a block of k's kind."""
-        return masks[j] & ((1 << x) - 1) if k % 2 else masks[j] >> (x + 1) << (x + 1)
-
-    def ready(start, stop):
-        """(x, k) per letter x of the blocks start..stop-1 at or over its
-        bound, in word order: lowest bit first in an ascending (odd) block,
-        highest first in a descending one."""
-        for k in range(start, stop):
-            rest = masks[k]
-            while rest:
-                x = (rest & -rest).bit_length() - 1 if k % 2 else rest.bit_length() - 1
-                rest ^= 1 << x
-                if deco[x - 1] >= beaten(x, k, k - 1).bit_count():
-                    yield x, k
-
-    def pay(x, k):
-        """x, in block k, hands one grain to each of its witnesses."""
-        witnesses = beaten(x, k, k - 1)
-        bound = witnesses.bit_count()
-        if deco[x - 1] < bound:
-            raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, bound))
-        deco[x - 1] -= bound
-        for w in sandpile._bits(witnesses & ~1):  # the sink keeps no grain
-            deco[w - 1] += 1
-
-    def written():
-        return _write([list(sandpile._bits(m)) for m in masks])
-
-    def record(action, letter):
-        if trace:
-            events.append(
-                {
-                    "action": action,
-                    "letter": letter,
-                    "word": written(),
-                    "decorations": tuple(deco),
-                }
-            )
-
     start = 3  # no letter of blocks 3..start-1 is ready (see the lemma)
     for _ in range(cap - 1):
-        settle = next(ready(start, len(masks)), None)
-        if settle is not None:
-            x, k = settle
-            pay(x, k)
+        for k in range(start, len(masks)):  # the search for a settle
+            rest, prev = masks[k], masks[k - 1]
+            if k % 2:  # witnesses below the letter
+                while rest:
+                    low = rest & -rest
+                    if deco[low.bit_length() - 2] >= (prev & (low - 1)).bit_count():
+                        break
+                    rest ^= low
+            else:  # witnesses above the letter
+                while rest:
+                    x = rest.bit_length() - 1
+                    if deco[x - 1] >= (prev >> (x + 1)).bit_count():
+                        break
+                    rest ^= 1 << x
+            if rest:
+                first, unstable = 0, low if k % 2 else 1 << x
+                break
+        else:  # a topple round: the ready letters of blocks 1 and 2
+            first, unstable, start = masks[1], 0, 3
+            for k in range(1, min(3, len(masks))):
+                rest = masks[k]
+                while rest:
+                    x = rest.bit_length() - 1
+                    rest ^= 1 << x
+                    beat = (1 << x) - 1 if k % 2 else -(2 << x)
+                    if deco[x - 1] >= (masks[k - 1] & beat).bit_count():
+                        unstable |= 1 << x
+            if not unstable:
+                break
+        while unstable:  # a topple keeps the block it had as the round began
+            rest = unstable & first  # block 1 first, lowest letter first
+            x = (rest & -rest).bit_length() - 1 if rest else unstable.bit_length() - 1
+            unstable ^= 1 << x
+            k = 1 if rest else k if k > 2 else 2
+            beat = (1 << x) - 1 if k % 2 else -(2 << x)  # the letters x beats
+            witnesses = masks[k - 1] & beat
+            bound = witnesses.bit_count()
+            if deco[x - 1] < bound:
+                raise RuntimeError("letter %d cannot pay its %d witnesses" % (x, bound))
+            deco[x - 1] -= bound
+            witnesses &= ~1  # the sink keeps no grain
+            while witnesses:
+                low = witnesses & -witnesses
+                deco[low.bit_length() - 2] += 1
+                witnesses ^= low
             masks[k] ^= 1 << x
-            masks[k - 2] |= 1 << x
-            while not masks[-1]:
-                masks.pop()
-            start = max(3, k - 2)
-            record("settle", x)
-            continue
-        unstable = list(ready(1, min(3, len(masks))))
-        if not unstable:
-            break
-        start = 3
-        for x, k in unstable:
-            pay(x, k)
-            # behind the last block of the other kind holding a letter that
-            # x beats; the sink is beaten by every ascending letter
-            to = 1 + max(j for j in range(1 - k % 2, len(masks), 2) if beaten(x, k, j))
-            masks[k] ^= 1 << x
-            if to == len(masks):
-                masks.append(0)
-            masks[to] |= 1 << x
-            if len(masks) > 2 and not masks[2]:  # the first descending block emptied
-                masks[1:4] = [masks[1] | masks[3]]
-            record("topple", x)
+            if k > 2:  # a settle
+                masks[k - 2] |= 1 << x
+                while not masks[-1]:
+                    masks.pop()
+                start = max(3, k - 2)
+            else:  # a topple: scan the other kind's blocks from the back
+                to = len(masks) - 1 - (len(masks) + k) % 2
+                while to > 1 and not masks[to] & beat:  # down to block 0 or 1
+                    to -= 2
+                if not masks[to] & beat:
+                    max(())  # as the max over no block did: its ValueError
+                if to + 1 == len(masks):
+                    masks.append(0)
+                masks[to + 1] |= 1 << x
+                if len(masks) > 2 and not masks[2]:  # the first descending block emptied
+                    masks[1:4] = [masks[1] | masks[3]]
+            if trace:
+                events.append({"action": "settle" if k > 2 else "topple", "letter": x,
+                               "word": _write([list(sandpile._bits(m)) for m in masks]),
+                               "decorations": tuple(deco)})
     else:
         raise RuntimeError("stabilization exceeded its iteration budget")
-    out = written()
-    if [sandpile._mask(block) for block in _runs(out)] != masks:
+    out = _write([list(sandpile._bits(m)) for m in masks])
+    runs = _runs(out)
+    if [sandpile._mask(block) for block in runs] != masks:
         raise RuntimeError("stabilized blocks are not the runs of %r" % (out,))
-    if sandpile.classify_decoration(_runs(out), deco) != "canonical":
+    if sandpile.classify_decoration(runs, deco) != "canonical":
         raise RuntimeError("stabilized decoration of %r is not canonical" % (out,))
     if trace:
         return out, tuple(deco), events

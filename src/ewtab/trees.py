@@ -75,7 +75,7 @@ def is_intransitive(parents):
 
 
 def _intransitive(parents):
-    edges = [sorted((v, p)) for v, p in enumerate(parents) if p is not None]
+    edges = [(v, p) if v < p else (p, v) for v, p in enumerate(parents) if p is not None]
     return not {lo for lo, _ in edges} & {hi for _, hi in edges}
 
 

@@ -307,6 +307,39 @@ def test_stabilize_matches_reference_at_larger_sizes():
     assert events > 2_000
 
 
+def test_stabilize_trace_off_matches_trace_on():
+    # the untraced run makes the same moves as the traced one, and the
+    # traced one matches the old stabilizer move by move
+    rng = random.Random(15)
+    cases = []
+    for _ in range(1000):
+        n = rng.randint(1, 14)
+        word = tuple(rng.sample(range(1, n + 1), n))
+        cases.append((word, tuple(rng.randint(0, 4) for _ in range(n))))
+    families = [tuple(range(k, 0, -1)) for k in (8, 16, 32)] + [(10,) * 10, (20,) * 20]
+    for parts in families:
+        d = FerrersDiagram(parts)
+        top = tuple(g - 1 for g in d.degrees)
+        word, deco = permutations.decorated_from_config(d, top)
+        for _ in range(3):
+            burst = list(deco)
+            for _ in range(rng.randint(1, d.n)):
+                burst[rng.randrange(d.n)] += 1
+            cases.append((word, tuple(burst)))
+    events = 0
+    for word, deco in cases:
+        traced = stabilize_or_error(permutations.stabilize, word, deco)
+        assert traced == stabilize_or_error(reference_stabilize, word, deco), (
+            word, deco)
+        try:
+            untraced = permutations.stabilize(word, deco)
+        except (RuntimeError, ValueError) as e:
+            untraced = type(e).__name__, str(e)
+        assert untraced == traced[:2], (word, deco)
+        events += len(traced[2]) if len(traced) == 3 else 0
+    assert events > 10_000
+
+
 def test_stabilize_noop_on_canonical():
     out = permutations.stabilize((2, 3, 1), (1, 0, 0), trace=True)
     assert out == ((2, 3, 1), (1, 0, 0), [])
