@@ -11,9 +11,15 @@ Exit codes: 0 success, 1 the reader of stdout went away (a broken pipe,
 as in `ewtab enumerate ... | head -1`), 2 malformed input or usage or an
 --out FILE that cannot be written, 3 domain or budget violation, 4
 certification found a failing property.
+
+The argparse parser is built once per process, on the first call of main,
+and kept: repeated in-process calls (the tests, the benchmark) share it.
+Parsing leaves the parser as it was, so every call prints exactly what a
+freshly built parser would.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -42,6 +48,7 @@ def _common():
     return common
 
 
+@functools.cache
 def _build_parser():
     common = _common()
     parser = argparse.ArgumentParser(
@@ -327,7 +334,7 @@ def _cmd_certify(args, out):
         shapes = [serialize.parse_shape(args.shape)]
     else:
         if args.semiperimeter_max < 2:
-            raise DomainError("--semiperimeter-max must be at least 2")
+            raise FormatError("--semiperimeter-max must be at least 2")
         # one semiperimeter at a time: a sweep can stop at the first shape
         # over the budget without listing every larger shape first
         shapes = (

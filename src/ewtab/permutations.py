@@ -54,6 +54,9 @@ def run_blocks(word):
 
 
 def _runs(word):
+    """run_blocks of a tuple already known to be a permutation. A run is
+    strictly monotone, so its slice is sorted as it stands (ascending) or
+    reversed (descending)."""
     blocks = [(0,)]
     i = 0
     ascending = True
@@ -61,7 +64,7 @@ def _runs(word):
         j = i + 1
         while j < len(word) and (word[j] > word[j - 1]) == ascending:
             j += 1
-        blocks.append(tuple(sorted(word[i:j])))
+        blocks.append(word[i:j] if ascending else word[i:j][::-1])
         i = j
         ascending = not ascending
     return tuple(blocks)

@@ -273,6 +273,12 @@ def test_certify_rejects_negative_grain_steps(capsys):
     assert err.startswith("error:") and "--grain-steps" in err
 
 
+def test_certify_rejects_a_sweep_below_semiperimeter_2(capsys):
+    code, out, err = run(capsys, "certify", "--semiperimeter-max", "1")
+    assert (code, out, err) == (
+        2, "", "error: --semiperimeter-max must be at least 2\n")
+
+
 def test_certify_sweep_builds_one_semiperimeter_at_a_time(capsys, monkeypatch):
     built = []
 
@@ -360,6 +366,46 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().strip() == "12738645"
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    stab = ["stabilize", "--shape", "4,4,4,3", "--heights", "1,3,1,0,2,4,3"]
+    calls = [
+        stab + ["--via", "perm", "--trace"],
+        stab + ["--via", "perm"],
+        stab,
+        ["graph", "--shape", "3,2,1", "--format", "json", "--out", str(target)],
+        ["graph", "--shape", "3,2,1"],
+        ["stabilize", "--shape", "2,1"],  # --heights is missing
+        ["stabilize", "--shape", "2,1", "--heights", "0,2,5"],
+        ["--help"],
+        ["certify", "--shape", "2,1", "--grain-steps", "5"],
+        ["certify", "--semiperimeter-max", "3", "--grain-steps", "5"],
+    ]
+
+    def outcomes():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = ("exit", e.code)
+            written = target.read_text() if target.exists() else None
+            target.unlink(missing_ok=True)
+            seen.append((argv, code, *capsys.readouterr(), written))
+        return seen
+
+    cli._build_parser.cache_clear()
+    cached = outcomes()
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = outcomes()
+    assert cached == fresh
+    codes = [seen[1] for seen in fresh]
+    assert codes == [0, 0, 0, 0, 0, ("exit", 2), 0, ("exit", 0), 0, 0]
+    assert "--heights" in fresh[5][3]
 
 
 @pytest.mark.parametrize("where, code", [("missing/x", errno.ENOENT), ("", errno.EISDIR)],

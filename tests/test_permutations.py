@@ -33,6 +33,32 @@ def test_run_blocks_rejects_bad_words():
         permutations.run_blocks((2, 3))
 
 
+def sorted_runs(word):
+    """The run blocks, each run sorted outright."""
+    blocks = [(0,)]
+    i = 0
+    ascending = True
+    while i < len(word):
+        j = i + 1
+        while j < len(word) and (word[j] > word[j - 1]) == ascending:
+            j += 1
+        blocks.append(tuple(sorted(word[i:j])))
+        i = j
+        ascending = not ascending
+    return tuple(blocks)
+
+
+def test_runs_match_the_sorted_runs():
+    words = [w for n in range(1, 8) for w in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(16)
+    for _ in range(500):
+        word = list(range(1, rng.randint(1, 300) + 1))
+        rng.shuffle(word)
+        words.append(tuple(word))
+    for word in words:
+        assert permutations._runs(word) == sorted_runs(word)
+
+
 def test_word_from_blocks_round_trip():
     for n in range(1, 7):
         for word in itertools.permutations(range(1, n + 1)):
