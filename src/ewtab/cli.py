@@ -130,13 +130,7 @@ def _build_parser():
     return parser
 
 
-def _need_text_or_json(args):
-    if args.format == "dot":
-        raise FormatError("dot output is only available for tree output")
-
-
 def _cmd_graph(args, out):
-    _need_text_or_json(args)
     d = serialize.parse_shape(args.shape)
     info = {
         "shape": list(d.parts),
@@ -181,8 +175,6 @@ def _decorated_word(args, data):
 
 
 def _cmd_convert(args, out):
-    if args.dst != "tree":
-        _need_text_or_json(args)
     data = args.data if args.data is not None else sys.stdin.read()
     if not data.strip():
         raise FormatError("no input data")
@@ -226,19 +218,17 @@ def _perm_representation(diagram, heights):
     heights = sandpile.check_counts(heights, diagram.n, "heights")
     capped = tuple(min(h, g - 1) for h, g in zip(heights, diagram.degrees))
     try:
-        blocks, surplus = sandpile.decompose(diagram, capped)
+        word, surplus = permutations.decorated_from_config(diagram, capped)
     except DomainError:
         # capped is a stable configuration, so only a stalled avalanche
         # lands here
         raise DomainError(
             "heights do not dominate any minimal recurrent configuration"
         ) from None
-    word = permutations.word_from_blocks(blocks)
     return word, tuple(a + h - c for a, h, c in zip(surplus, heights, capped))
 
 
 def _cmd_stabilize(args, out):
-    _need_text_or_json(args)
     d = serialize.parse_shape(args.shape)
     _, heights = serialize.parse_config(args.heights, d)
     if args.via == "graph":
@@ -295,7 +285,6 @@ def _cmd_stabilize(args, out):
 
 
 def _cmd_enumerate(args, out):
-    _need_text_or_json(args)
     d = serialize.parse_shape(args.shape)
     if args.kind in ("tableaux", "decorated"):
         if args.kind == "tableaux":
@@ -327,7 +316,6 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_certify(args, out):
-    _need_text_or_json(args)
     if args.grain_steps < 0:
         raise FormatError("--grain-steps must be non-negative")
     if args.shape:
@@ -381,6 +369,9 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     try:
+        tree_out = args.command == "convert" and args.dst == "tree"
+        if args.format == "dot" and not tree_out:
+            raise FormatError("dot output is only available for tree output")
         code = args.func(args, stream)
         stream.flush()
         return code

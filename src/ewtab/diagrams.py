@@ -8,13 +8,22 @@ step is the east edge of a row and contributes that row's label, a horizontal
 step is the bottom edge of a column and contributes that column's label.
 The top row always gets label 0 and acts as the sink of the sandpile model.
 
+In closed form: before the east edge of row i the walk has made i vertical
+steps (the rows above it) and parts[0] - parts[i] horizontal ones (the
+columns beyond its end), so row i gets label i + parts[0] - parts[i], and the
+columns get the other labels, decreasing left to right. Conversely, the rows
+labeled r_0 < r_1 < ... < r_{k-1} have parts n - r_i - (k - 1 - i): the
+labels above r_i less the rows among them. A shape is thus its set of row
+labels, 0 together with any subset of 1..n-1.
+
 The graph of the diagram has the row and column labels as vertices, with an
 edge between row i and column j exactly when the cell in row i and column j
 belongs to the diagram, which happens exactly when i < j.
 """
 
-import bisect
+import itertools
 import math
+import operator
 from functools import cached_property
 
 from .errors import DomainError
@@ -44,23 +53,10 @@ class FerrersDiagram:
 
     @cached_property
     def _labels(self):
-        # Walk the border top-right to bottom-left. A vertical step closes a
-        # row, a horizontal step closes the column currently at position x-1.
-        rows = []
-        cols_by_x = {}
-        nxt = 0
-        x = self.parts[0]
-        for i in range(len(self.parts)):
-            rows.append(nxt)
-            nxt += 1
-            floor = self.parts[i + 1] if i + 1 < len(self.parts) else 0
-            while x > floor:
-                x -= 1
-                cols_by_x[x] = nxt
-                nxt += 1
-        if nxt != self.semiperimeter:
-            raise RuntimeError("border walk of %r gave %d labels" % (self.parts, nxt))
-        return tuple(rows), tuple(cols_by_x[x] for x in range(self.parts[0]))
+        first = self.parts[0]
+        rows = tuple([i + first - p for i, p in enumerate(self.parts)])
+        cols = sorted(set(range(self.semiperimeter)).difference(rows), reverse=True)
+        return rows, tuple(cols)
 
     @property
     def row_labels(self):
@@ -166,12 +162,8 @@ class FerrersDiagram:
 
     def edges(self):
         """All (row, column) label pairs of cells, row-major."""
-        out = []
-        for i in self.row_labels:
-            for j in self.col_labels:
-                if j > i:
-                    out.append((i, j))
-        return out
+        cols = self.col_labels
+        return [(i, j) for i, p in zip(self.row_labels, self.parts) for j in cols[:p]]
 
     def spanning_tree_count(self):
         """Number of spanning trees, by Ehrenborg and van Willigenburg's
@@ -194,9 +186,7 @@ class FerrersDiagram:
             raise DomainError("label 0 must be a row")
         if rows[-1] > n or n in row_set:
             raise DomainError("label %d must be a column" % n)
-        cols = [v for v in range(n + 1) if v not in row_set]
-        parts = [len(cols) - bisect.bisect_right(cols, r) for r in rows]
-        diagram = cls(parts)
+        diagram = cls(_parts_of_rows(rows, n))
         if diagram.row_labels != tuple(rows):
             raise DomainError("rows %r do not label the rows of %r" % (rows, diagram.parts))
         return diagram
@@ -211,24 +201,26 @@ class FerrersDiagram:
         return "FerrersDiagram(%r)" % (self.parts,)
 
 
+def _parts_of_rows(rows, n):
+    """Parts of the shape whose row labels are the increasing sequence
+    `rows` inside 0..n. Of the k rows, the one labeled r_i has the n - r_i
+    labels above it less the k - 1 - i rows among them as its part."""
+    return list(map(operator.sub, range(n - len(rows) + 1, n + 1), rows))
+
+
 def enumerate_diagrams(semiperimeter):
     """All shapes with the given semiperimeter, in lexicographic order.
 
-    There are 2**(semiperimeter-2) of them for semiperimeter >= 2.
+    There are 2**(semiperimeter-2) of them for semiperimeter >= 2, one for
+    each set of row labels besides 0 among the interior labels.
     """
     if semiperimeter < 2:
         return []
-    out = []
-    # The first part p together with its own row costs p + 1 of the
-    # semiperimeter; every further row costs 1.
-    for first in range(1, semiperimeter):
-        stack = [([first], semiperimeter - first - 1)]
-        while stack:
-            prefix, left = stack.pop()
-            if left == 0:
-                out.append(FerrersDiagram(prefix))
-                continue
-            for p in range(prefix[-1], 0, -1):
-                stack.append((prefix + [p], left - 1))
+    n = semiperimeter - 1
+    out = [
+        FerrersDiagram(_parts_of_rows((0,) + rows, n))
+        for k in range(n)
+        for rows in itertools.combinations(range(1, n), k)
+    ]
     out.sort(key=lambda d: d.parts)
     return out

@@ -102,8 +102,8 @@ class EWTableau:
         return _suffix_unions(self.diagram, self._blocks)
 
     @cached_property
-    def _problems(self):
-        return validate(self)
+    def _first_problem(self):
+        return next(_violations(self), None)
 
     def __eq__(self, other):
         return isinstance(other, EWTableau) and (self.diagram, self._masks) == (
@@ -117,24 +117,29 @@ class EWTableau:
 
 
 def validate(t):
-    """Structured report of EW-condition violations; empty means valid.
+    """Structured report of every EW-condition violation; empty means valid.
 
     Three rules are checked separately:
       top-row-ones     the top row contains only 1s
       row-has-zero     every non-top row contains a 0
       rectangle        no four-cell rectangle has 0s on one diagonal and 1s
                        on the other
+
+    On an invalid filling the rectangles alone can number about width**4;
+    ensure_valid stops at the first entry instead.
     """
+    return list(_violations(t))
+
+
+def _violations(t):
+    """The entries of validate(t), in the same order, one at a time."""
     masks = t._masks
     cells = t.diagram._cells
-    problems = [
-        {"rule": "top-row-ones", "row": 0, "x": x} for x in _bits(cells[0] & ~masks[0])
-    ]
-    problems += [
-        {"rule": "row-has-zero", "row": i}
-        for i in range(1, len(masks))
-        if masks[i] == cells[i]
-    ]
+    for x in _bits(cells[0] & ~masks[0]):
+        yield {"rule": "top-row-ones", "row": 0, "x": x}
+    for i in range(1, len(masks)):
+        if masks[i] == cells[i]:
+            yield {"rule": "row-has-zero", "row": i}
     for i, top in enumerate(masks):
         for i2 in range(i + 1, len(masks)):
             lower = masks[i2]
@@ -149,16 +154,16 @@ def validate(t):
             for x in _bits(only_upper | only_lower):
                 other = only_lower if only_upper >> x & 1 else only_upper
                 for x2 in _bits(other >> x + 1):
-                    problems.append(
-                        {"rule": "rectangle", "rows": (i, i2), "cols": (x, x + 1 + x2)}
-                    )
-    return problems
+                    yield {"rule": "rectangle", "rows": (i, i2), "cols": (x, x + 1 + x2)}
 
 
 def ensure_valid(t):
-    problems = t._problems  # each tableau is validated once
-    if problems:
-        raise DomainError("not an EW-tableau: %r" % (problems[0],))
+    """Return t if it is an EW-tableau; otherwise raise DomainError naming
+    its first violation, validate(t)[0]. The check stops at that first
+    violation and runs once per tableau."""
+    problem = t._first_problem
+    if problem is not None:
+        raise DomainError("not an EW-tableau: %r" % (problem,))
     return t
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -356,6 +357,28 @@ def test_convert_rejects_numbers_as_tableau_rows(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+
+
+def striped_filling(width):
+    """Rows of a width x width filling: 1s on top, then rows alternating
+    0101... and 1010..., so that nearly every pair of lower rows and
+    columns forms a bad rectangle."""
+    stripes = ("01" * width)[:width], ("10" * width)[:width]
+    return ["1" * width] + [stripes[i % 2] for i in range(width - 1)]
+
+
+def test_invalid_tableau_is_refused_at_its_first_problem(capsys):
+    # The first problem lies in rows 0..2 and columns 0..1, which every
+    # width from 3 up shares, so a small filling names it.
+    small = EWTableau(FerrersDiagram((8,) * 8), striped_filling(8))
+    first = tableaux.validate(small)[0]
+    start = time.perf_counter()
+    code, out, err = run(capsys, "convert", "--from", "tableau", "--to",
+                         "perm", "--data", "/".join(striped_filling(200)))
+    assert time.perf_counter() - start < 2
+    assert code == 3
+    assert out == ""
+    assert err == "error: not an EW-tableau: %r\n" % (first,)
 
 
 def test_out_flag_writes_file(capsys, tmp_path):

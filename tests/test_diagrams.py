@@ -32,6 +32,21 @@ def test_border_labels_321():
     assert d.edge_count == 6
 
 
+def test_labels_follow_the_cells():
+    # Rows increasing, columns decreasing, together 0..n, and a row label
+    # below a column label exactly where the row reaches the column: these
+    # fix the labelling without any formula for it.
+    for m in range(2, 13):
+        for d in enumerate_diagrams(m):
+            rows, cols = d.row_labels, d.col_labels
+            assert list(rows) == sorted(rows)
+            assert list(cols) == sorted(cols, reverse=True)
+            assert sorted(rows + cols) == list(range(d.n + 1))
+            for i, r in enumerate(rows):
+                for x, c in enumerate(cols):
+                    assert (r < c) == (x < d.parts[i]), (d.parts, i, x)
+
+
 def test_label_n_is_column():
     for m in range(2, 8):
         for d in enumerate_diagrams(m):
@@ -95,6 +110,10 @@ def test_from_row_labels_rejects_bad_sets():
         FerrersDiagram.from_row_labels((1, 2), 3)  # must include 0
     with pytest.raises(DomainError):
         FerrersDiagram.from_row_labels((0, 3), 3)  # 3 = n must be a column
+    with pytest.raises(DomainError, match="^label 3 must be a column$"):
+        FerrersDiagram.from_row_labels((0, 5), 3)  # above n
+    with pytest.raises(DomainError, match="^label 0 must be a row$"):
+        FerrersDiagram.from_row_labels((-1, 0, 2), 3)
 
 
 def test_rejects_non_partition():
@@ -116,8 +135,9 @@ def test_enumerate_diagrams_4():
 
 
 def test_enumerate_diagrams_counts():
-    for m in range(2, 11):
+    for m in range(2, 13):
         ds = enumerate_diagrams(m)
+        assert [d.parts for d in ds] == sorted(d.parts for d in ds)
         assert len(ds) == 2 ** (m - 2)
         assert all(d.semiperimeter == m for d in ds)
         assert len(set(ds)) == len(ds)

@@ -657,14 +657,14 @@ def test_layer_matches_reference_on_random_words(n):
 
 
 def test_validate_runs_once_per_tableau(monkeypatch, d5332):
-    check = tableaux.validate
+    check = tableaux._violations
     calls = []
 
     def counting_validate(t):
         calls.append(t)
         return check(t)
 
-    monkeypatch.setattr(tableaux, "validate", counting_validate)
+    monkeypatch.setattr(tableaux, "_violations", counting_validate)
     c = (0, 0, 2, 1, 0, 0, 3, 2)
     t, deco = tableaux.decorated_from_config(d5332, c)
     assert calls == [t]
