@@ -33,12 +33,12 @@ __all__ = ["FerrersDiagram", "enumerate_diagrams"]
 
 class FerrersDiagram:
     def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(int, parts))
         if not parts:
             raise DomainError("a Ferrers diagram needs at least one cell")
-        if any(p <= 0 for p in parts):
+        if min(parts) <= 0:
             raise DomainError("parts must be positive: %r" % (parts,))
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if list(parts) != sorted(parts, reverse=True):
             raise DomainError("parts must be weakly decreasing: %r" % (parts,))
         self.parts = parts
 

@@ -6,6 +6,14 @@ burning implementation, tableaux come from row-by-row backtracking. The
 point is to have second routes to every quantity the library computes
 cleverly, so certify_shape can compare them on small instances.
 
+certify_shape is one loop over _CHECKS, a table of (name, check, largest n)
+rows in report order. Every check reads one _Shape, which holds the shape's
+brute-force lists, built once. A counterexample property is a generator of
+counterexamples in the order of its search, and the report keeps the first
+one (None when there is none). The other checks return their entry, or None
+for no entry. A row whose largest n is below the shape's n is not run; it
+passes with the detail "skipped, n=<n> > <largest n>".
+
 All enumerators refuse to start (or to continue, for the backtracking ones)
 once their work estimate passes a budget: the default is 10**7, overridable
 through the EWTAB_ORACLE_BUDGET environment variable or the budget argument.
@@ -213,11 +221,266 @@ def _random_order_stabilize(diagram, heights, rng):
                 work[u - 1] += 1
 
 
+class _Shape:
+    """The brute-force lists of one shape, built once and read by every
+    check: recurrent and minimal configurations, the tableaux with their
+    minimal configurations, words and canonical bounds, and every
+    canonically decorated tableau as (word, decorations, configuration).
+    rng is the one seeded stream that grain-walk draws from and abelian
+    continues."""
+
+    def __init__(self, d, budget, grain_steps, seed):
+        self.d, self.grain_steps, self.rng = d, grain_steps, random.Random(seed)
+        self.rec = list(enumerate_recurrent(d, budget))
+        target = d.edge_count - d.parts[0]
+        self.minimal = {c for c in self.rec if sum(c) == target}
+        self.tabs = list(enumerate_tableaux(d, budget))
+        self.mins = [tableaux.minimal_config(t) for t in self.tabs]
+        self.words = [permutations.from_tableau(t) for t in self.tabs]
+        self.nus = [tableaux.canonical_bounds(t) for t in self.tabs]
+        self.decorated = [
+            (w, deco, tableaux.config_from_decorated(t, deco))
+            for t, w, nu in zip(self.tabs, self.words, self.nus)
+            for deco in itertools.product(*[range(b) for b in nu])
+        ]
+
+
+def _first(counterexamples):
+    """A counterexample property: it passes when the generator yields
+    nothing and otherwise reports the first thing it yields."""
+    def check(s):
+        bad = next(counterexamples(s), None)
+        return {"pass": bad is None, "counterexample": bad}
+    return check
+
+
+def _counting(s):
+    """Recurrent configurations, spanning trees (the product formula and
+    the elimination) and decorated tableaux agree; minimal configurations
+    match tableaux."""
+    d = s.d
+    trees_count = d.spanning_tree_count()
+    eliminated = _spanning_trees_by_elimination(d)
+    detail = "recurrent=%d trees=%d decorated=%d minimal=%d tableaux=%d" % (
+        len(s.rec), trees_count, len(s.decorated), len(s.minimal), len(s.tabs))
+    if eliminated != trees_count:
+        detail += " elimination=%d" % eliminated
+    passed = (len(s.rec) == trees_count == eliminated == len(s.decorated)
+              and len(s.minimal) == len(s.tabs))
+    return {"pass": passed, "detail": detail}
+
+
+def _tableau_roundtrip(s):
+    """The tableau round trip against the brute-force minimal list."""
+    for t, c in zip(s.tabs, s.mins):
+        if tableaux.from_minimal_config(s.d, c) != t:
+            yield t.row_strings(), c
+    if set(s.mins) != s.minimal:
+        yield "config sets differ", sorted(set(s.mins) ^ s.minimal)
+
+
+def _avalanche_agreement(s):
+    """The tableau-side avalanche equals the sandpile one."""
+    for t, c in zip(s.tabs, s.mins):
+        if tableaux.canonical_toppling(t) != sandpile.canonical_toppling(s.d, c):
+            yield t.row_strings()
+
+
+def _bounds_agreement(s):
+    """Canonical and stable bounds agree across all three carriers, and the
+    minimal configuration plus the stable bound gives the degree."""
+    for t, c, w, nu in zip(s.tabs, s.mins, s.words, s.nus):
+        if nu != sandpile.canonical_bounds(s.d, c) or nu != permutations.canonical_bounds(w):
+            yield "canonical", t.row_strings()
+        st = tableaux.stable_bounds(t)
+        if st != permutations.stable_bounds(w):
+            yield "stable", t.row_strings()
+        if tuple(r + b for r, b in zip(c, st)) != s.d.degrees:
+            yield "degree", t.row_strings()
+        if any(v < 1 for v in nu) or any(x > y for x, y in zip(nu, st)):
+            yield "range", t.row_strings()
+
+
+def _cornersupport_dual(s):
+    """The two corner-support routes agree."""
+    for t in s.tabs:
+        if tableaux.corner_support(t, "blocks") != tableaux.corner_support(t, "local"):
+            yield t.row_strings()
+
+
+def _supplementary_direct(s):
+    """The local supplementary rule matches the grid built from the
+    avalanche."""
+    for t in s.tabs:
+        grid = tableaux.supplementary(t)
+        for i in s.d.row_labels:
+            for j in s.d.col_labels:
+                if i > j and grid.entry(i, j) != tableaux.supplementary_entry(t, i, j):
+                    yield t.row_strings(), i, j
+
+
+def _classification_coverage(s):
+    """Every recurrent configuration is a uniquely decorated tableau."""
+    seen = collections.Counter(c for _, _, c in s.decorated)
+    if set(seen) != set(s.rec):
+        yield "config sets differ", sorted(set(seen) ^ set(s.rec))[:3]
+    if any(k > 1 for k in seen.values()):
+        yield "duplicates", [c for c, k in seen.items() if k > 1][:3]
+
+
+def _decomposition_roundtrip(s):
+    """Decompose and rebuild every recurrent configuration, on both
+    carriers."""
+    for c in s.rec:
+        t, a = tableaux.decorated_from_config(s.d, c)
+        if tableaux.config_from_decorated(t, a) != c:
+            yield "tableau", c
+        w, aw = permutations.decorated_from_config(s.d, c)
+        dd, back = permutations.config_from_decorated(w, aw)
+        if dd != s.d or back != c:
+            yield "word", c
+        if permutations.classify_decoration(w, aw) != "canonical":
+            yield "class", c
+
+
+def _word_descent_class(s):
+    """The words with this descent-bottom set are exactly the tableau
+    words."""
+    class_words = _words_by_shape(s.d.n).get(s.d, set())
+    for t, w in zip(s.tabs, s.words):
+        if permutations.to_tableau(w) != t:
+            yield "tableau trip", t.row_strings()
+    for w in class_words:
+        if permutations.from_tableau(permutations.to_tableau(w)) != w:
+            yield "word trip", w
+    if class_words != set(s.words):
+        yield "word sets differ", sorted(class_words ^ set(s.words))[:3]
+
+
+def _tree_roundtrip(s):
+    """Every canonically decorated word round-trips through its tree, whose
+    levels are the avalanche."""
+    for w, deco, c in s.decorated:
+        parents = trees.perm_to_tree(w, deco)
+        if trees.tree_to_perm(parents) != (w, deco):
+            yield "trip", w, deco
+        if trees.bfs_levels(parents) != sandpile.canonical_toppling(s.d, c):
+            yield "levels", w, deco
+    if len(s.decorated) != len(s.rec):
+        yield "count", len(s.decorated), len(s.rec)
+
+
+def _tree_census(s):
+    """Intransitive trees and decorated words of length n, both counted by
+    brute force, are equinumerous."""
+    intransitive, decorated_words = _tree_count(s.d.n)
+    return {"pass": intransitive == decorated_words,
+            "detail": "intransitive=%d decorated=%d" % (intransitive, decorated_words)}
+
+
+def _grain_walk(s):
+    """Seeded grain additions, stabilized on the graph and on the word,
+    stay in lockstep."""
+    d, rng = s.d, s.rng
+    c = s.rec[rng.randrange(len(s.rec))]
+    w, a = permutations.decorated_from_config(d, c)
+    for _ in range(s.grain_steps):
+        v = rng.randint(1, d.n)
+        c2, _counts = sandpile.stabilize(d, _add_grain(c, v))
+        w2, a2 = permutations.stabilize(w, _add_grain(a, v))[:2]
+        if (w2, a2) != permutations.decorated_from_config(d, c2):
+            yield c, v
+        c, w, a = c2, w2, a2
+
+
+def _abelian(s):
+    """The toppling order does not matter."""
+    d, rng = s.d, s.rng
+    for _ in range(min(s.grain_steps, 50)):
+        c0 = s.rec[rng.randrange(len(s.rec))]
+        v = rng.randint(1, d.n)
+        start = _add_grain(c0, v)
+        ours, counts = sandpile.stabilize(d, start)
+        theirs, rcounts = _random_order_stabilize(d, start, rng)
+        if ours != theirs or [counts[u] for u in range(1, d.n + 1)] != rcounts[1:]:
+            yield start
+
+
+def _burning_replay(s):
+    """The burning order replays as a legal toppling sequence that ends
+    where it began."""
+    for c in s.rec:
+        order = sandpile.burning_order(s.d, c)
+        if order is None or sorted(order) != list(range(1, s.d.n + 1)):
+            yield "order", c
+            continue
+        work = sandpile.topple(s.d, c, 0)
+        for v in order:
+            work = sandpile.topple(s.d, work, v)
+        if work != c:
+            yield "replay", c
+
+
+def _level(s):
+    """The level is non-negative on recurrent configurations and zero
+    exactly on the minimal ones."""
+    for c in s.rec:
+        lv = sandpile.level(s.d, c)
+        if lv < 0 or (lv == 0) != (c in s.minimal):
+            yield c, lv
+
+
+def _reference_vectors(s):
+    """Fixed expectations for two shapes used as external anchors; None
+    (no entry) for every other shape."""
+    d = s.d
+    if d.parts == (3, 2, 1):
+        ok = (set(s.rec) == {(0, 0, 1, 0, 2), (0, 1, 0, 0, 2),
+                             (0, 1, 1, 0, 2), (0, 1, 1, 0, 1)}
+              and permutations.word_from_config(d, (0, 0, 1, 0, 2)) == (1, 3, 5, 4, 2))
+    elif d.parts == (5, 3, 3, 2):
+        c = (0, 0, 2, 1, 0, 0, 3, 2)
+        ok = (sandpile.canonical_toppling(d, c)
+              == ((0,), (1, 2, 7), (3,), (8,), (4, 6), (5,))
+              and permutations.word_from_config(d, c) == (1, 2, 7, 3, 8, 6, 4, 5)
+              and tableaux.from_minimal_config(d, c).row_strings()
+              == ("11111", "101", "001", "00"))
+    else:
+        return None
+    return {"pass": ok, "detail": "shape (%s)" % ",".join(map(str, d.parts))}
+
+
+# (name, check, largest n it runs at), in report order
+_CHECKS = (
+    ("counting", _counting, math.inf),
+    ("tableau-roundtrip", _first(_tableau_roundtrip), math.inf),
+    ("avalanche-agreement", _first(_avalanche_agreement), math.inf),
+    ("bounds-agreement", _first(_bounds_agreement), math.inf),
+    ("cornersupport-dual", _first(_cornersupport_dual), math.inf),
+    ("supplementary-direct", _first(_supplementary_direct), math.inf),
+    ("classification-coverage", _first(_classification_coverage), math.inf),
+    ("decomposition-roundtrip", _first(_decomposition_roundtrip), math.inf),
+    ("word-descent-class", _first(_word_descent_class), 8),
+    ("tree-roundtrip", _first(_tree_roundtrip), math.inf),
+    ("tree-count", _tree_census, 6),
+    ("grain-walk", _first(_grain_walk), math.inf),
+    ("abelian", _first(_abelian), math.inf),
+    ("burning-replay", _first(_burning_replay), math.inf),
+    ("level", _first(_level), math.inf),
+    ("reference-vectors", _reference_vectors, math.inf),
+)
+
+
 def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     """Run every cross-check the library supports on one shape and report.
 
     Returns {"shape", "n", "pass", "properties"} where properties is a list
-    of {"name", "pass"} dicts, some carrying "detail" or "counterexample".
+    of {"name", "pass"} dicts, one per row of _CHECKS in its order, each
+    carrying "detail" or "counterexample". A counterexample property
+    reports the first counterexample its check finds, or None. A row whose
+    largest n is below the shape's n passes with the detail "skipped,
+    n=<n> > <largest n>". reference-vectors appears only for its two anchor
+    shapes.
     Raises BudgetError when the shape is too large for the brute-force
     enumerations under the active budget. Each enumeration runs once per
     shape; the checks over all words and trees of size n run once per n
@@ -225,231 +488,18 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     """
     if grain_steps < 0:
         raise DomainError("grain_steps must be non-negative, got %d" % grain_steps)
-    d = diagram
+    shape = _Shape(diagram, budget, grain_steps, seed)
     report = []
-
-    def add(name, passed, **extra):
-        entry = {"name": name, "pass": bool(passed)}
-        entry.update(extra)
-        report.append(entry)
-
-    rec = list(enumerate_recurrent(d, budget))
-    target = d.edge_count - d.parts[0]
-    minimal = {c for c in rec if sum(c) == target}
-    tabs = list(enumerate_tableaux(d, budget))
-    mins = [tableaux.minimal_config(t) for t in tabs]
-    words = [permutations.from_tableau(t) for t in tabs]
-    nus = [tableaux.canonical_bounds(t) for t in tabs]
-    # (word, decorations, configuration) per canonically decorated tableau
-    decorated = [
-        (w, deco, tableaux.config_from_decorated(t, deco))
-        for t, w, nu in zip(tabs, words, nus)
-        for deco in itertools.product(*[range(b) for b in nu])
-    ]
-
-    # counting: recurrent configurations, spanning trees (the product
-    # formula and the elimination), and the product formula over tableaux
-    # must agree; minimal ones match tableaux
-    trees_count = d.spanning_tree_count()
-    eliminated = _spanning_trees_by_elimination(d)
-    detail = "recurrent=%d trees=%d decorated=%d minimal=%d tableaux=%d" % (
-        len(rec), trees_count, len(decorated), len(minimal), len(tabs))
-    if eliminated != trees_count:
-        detail += " elimination=%d" % eliminated
-    add(
-        "counting",
-        len(rec) == trees_count == eliminated == len(decorated)
-        and len(minimal) == len(tabs),
-        detail=detail,
-    )
-
-    # tableau round trip against the brute-force minimal list
-    bad = next(
-        ((t.row_strings(), c) for t, c in zip(tabs, mins)
-         if tableaux.from_minimal_config(d, c) != t),
-        None,
-    )
-    if bad is None and set(mins) != minimal:
-        bad = ("config sets differ", sorted(set(mins) ^ minimal))
-    add("tableau-roundtrip", bad is None, counterexample=bad)
-
-    # the tableau-side avalanche must equal the sandpile one
-    bad = next(
-        (t.row_strings() for t, c in zip(tabs, mins)
-         if tableaux.canonical_toppling(t) != sandpile.canonical_toppling(d, c)),
-        None,
-    )
-    add("avalanche-agreement", bad is None, counterexample=bad)
-
-    # canonical and stable bounds agree across all three carriers, and
-    # minimal config plus stable bound gives the degree
-    bad = None
-    for t, c, w, nu in zip(tabs, mins, words, nus):
-        if nu != sandpile.canonical_bounds(d, c) or nu != permutations.canonical_bounds(w):
-            bad = ("canonical", t.row_strings())
-            break
-        st = tableaux.stable_bounds(t)
-        if st != permutations.stable_bounds(w):
-            bad = ("stable", t.row_strings())
-            break
-        if tuple(r + s for r, s in zip(c, st)) != d.degrees:
-            bad = ("degree", t.row_strings())
-            break
-        if any(v < 1 for v in nu) or any(x > y for x, y in zip(nu, st)):
-            bad = ("range", t.row_strings())
-            break
-    add("bounds-agreement", bad is None, counterexample=bad)
-
-    # the two corner-support routes agree
-    bad = next(
-        (t.row_strings() for t in tabs
-         if tableaux.corner_support(t, "blocks") != tableaux.corner_support(t, "local")),
-        None,
-    )
-    add("cornersupport-dual", bad is None, counterexample=bad)
-
-    # the local supplementary rule matches the grid built from the avalanche
-    bad = None
-    for t in tabs:
-        s = tableaux.supplementary(t)
-        bad = next(
-            ((t.row_strings(), i, j) for i in d.row_labels for j in d.col_labels
-             if i > j and s.entry(i, j) != tableaux.supplementary_entry(t, i, j)),
-            None,
-        )
-        if bad:
-            break
-    add("supplementary-direct", bad is None, counterexample=bad)
-
-    # every recurrent configuration is a uniquely decorated tableau
-    seen = collections.Counter(c for _, _, c in decorated)
-    bad = None
-    if set(seen) != set(rec):
-        bad = ("config sets differ", sorted(set(seen) ^ set(rec))[:3])
-    elif any(k > 1 for k in seen.values()):
-        bad = ("duplicates", [c for c, k in seen.items() if k > 1][:3])
-    add("classification-coverage", bad is None, counterexample=bad)
-
-    # decompose and rebuild every recurrent configuration, both carriers
-    bad = None
-    for c in rec:
-        t, a = tableaux.decorated_from_config(d, c)
-        if tableaux.config_from_decorated(t, a) != c:
-            bad = ("tableau", c)
-            break
-        w, aw = permutations.decorated_from_config(d, c)
-        dd, back = permutations.config_from_decorated(w, aw)
-        if dd != d or back != c:
-            bad = ("word", c)
-            break
-        if permutations.classify_decoration(w, aw) != "canonical":
-            bad = ("class", c)
-            break
-    add("decomposition-roundtrip", bad is None, counterexample=bad)
-
-    # words with this descent-bottom set are exactly the tableau words
-    if d.n <= 8:
-        bad = None
-        class_words = _words_by_shape(d.n).get(d, set())
-        for t, w in zip(tabs, words):
-            if permutations.to_tableau(w) != t:
-                bad = ("tableau trip", t.row_strings())
-                break
-        if bad is None:
-            for w in class_words:
-                if permutations.from_tableau(permutations.to_tableau(w)) != w:
-                    bad = ("word trip", w)
-                    break
-        if bad is None and class_words != set(words):
-            bad = ("word sets differ", sorted(class_words ^ set(words))[:3])
-        add("word-descent-class", bad is None, counterexample=bad)
-    else:
-        add("word-descent-class", True, detail="skipped, n=%d > 8" % d.n)
-
-    # trees: round trip every canonical decorated word, match levels to the
-    # avalanche, and for small n recount intransitive trees independently
-    bad = None
-    for w, deco, c in decorated:
-        parents = trees.perm_to_tree(w, deco)
-        if trees.tree_to_perm(parents) != (w, deco):
-            bad = ("trip", w, deco)
-            break
-        if trees.bfs_levels(parents) != sandpile.canonical_toppling(d, c):
-            bad = ("levels", w, deco)
-            break
-    if bad is None and len(decorated) != len(rec):
-        bad = ("count", len(decorated), len(rec))
-    add("tree-roundtrip", bad is None, counterexample=bad)
-
-    if d.n <= 6:
-        intransitive, decorated_words = _tree_count(d.n)
-        add(
-            "tree-count",
-            intransitive == decorated_words,
-            detail="intransitive=%d decorated=%d" % (intransitive, decorated_words),
-        )
-    else:
-        add("tree-count", True, detail="skipped, n=%d > 6" % d.n)
-
-    # seeded random walk: grain additions stabilized on the graph and on the
-    # word must stay in lockstep
-    rng = random.Random(seed)
-    bad = None
-    c = rec[rng.randrange(len(rec))]
-    w, a = permutations.decorated_from_config(d, c)
-    for _ in range(grain_steps):
-        v = rng.randint(1, d.n)
-        c2, _counts = sandpile.stabilize(d, _add_grain(c, v))
-        w2, a2 = permutations.stabilize(w, _add_grain(a, v))[:2]
-        if (w2, a2) != permutations.decorated_from_config(d, c2):
-            bad = (c, v)
-            break
-        c, w, a = c2, w2, a2
-    add("grain-walk", bad is None, counterexample=bad)
-
-    # toppling order must not matter
-    bad = None
-    for _ in range(min(grain_steps, 50)):
-        c0 = rec[rng.randrange(len(rec))]
-        v = rng.randint(1, d.n)
-        start = _add_grain(c0, v)
-        ours, counts = sandpile.stabilize(d, start)
-        theirs, rcounts = _random_order_stabilize(d, start, rng)
-        if ours != theirs or [counts[u] for u in range(1, d.n + 1)] != rcounts[1:]:
-            bad = start
-            break
-    add("abelian", bad is None, counterexample=bad)
-
-    # burning order replays as a legal toppling sequence ending where it began
-    bad = None
-    for c in rec:
-        order = sandpile.burning_order(d, c)
-        if order is None or sorted(order) != list(range(1, d.n + 1)):
-            bad = ("order", c)
-            break
-        work = sandpile.topple(d, c, 0)
-        for v in order:
-            work = sandpile.topple(d, work, v)
-        if work != c:
-            bad = ("replay", c)
-            break
-    add("burning-replay", bad is None, counterexample=bad)
-
-    # level is non-negative on recurrent configurations and zero exactly on
-    # the minimal ones
-    bad = None
-    for c in rec:
-        lv = sandpile.level(d, c)
-        if lv < 0 or (lv == 0) != (c in minimal):
-            bad = (c, lv)
-            break
-    add("level", bad is None, counterexample=bad)
-
-    _reference_checks(d, rec, add)
-
+    for name, check, largest in _CHECKS:
+        if diagram.n > largest:
+            entry = {"pass": True, "detail": "skipped, n=%d > %d" % (diagram.n, largest)}
+        else:
+            entry = check(shape)
+        if entry is not None:
+            report.append({"name": name, **entry})
     return {
-        "shape": list(d.parts),
-        "n": d.n,
+        "shape": list(diagram.parts),
+        "n": diagram.n,
         "pass": all(entry["pass"] for entry in report),
         "properties": report,
     }
@@ -503,36 +553,3 @@ def _is_intransitive_naive(parents):
         if small not in (0, len(nbrs)):
             return False
     return True
-
-
-def _reference_checks(d, rec, add):
-    """Fixed expectations for two shapes used as external anchors; rec is
-    the shape's recurrent configurations."""
-    if d.parts == (3, 2, 1):
-        wanted = {
-            (0, 0, 1, 0, 2),
-            (0, 1, 0, 0, 2),
-            (0, 1, 1, 0, 2),
-            (0, 1, 1, 0, 1),
-        }
-        ok = set(rec) == wanted
-        if ok:
-            w = permutations.word_from_config(d, (0, 0, 1, 0, 2))
-            ok = w == (1, 3, 5, 4, 2)
-        add("reference-vectors", ok, detail="shape (3,2,1)")
-    elif d.parts == (5, 3, 3, 2):
-        c = (0, 0, 2, 1, 0, 0, 3, 2)
-        ok = sandpile.canonical_toppling(d, c) == (
-            (0,),
-            (1, 2, 7),
-            (3,),
-            (8,),
-            (4, 6),
-            (5,),
-        )
-        if ok:
-            ok = permutations.word_from_config(d, c) == (1, 2, 7, 3, 8, 6, 4, 5)
-        if ok:
-            t = tableaux.from_minimal_config(d, c)
-            ok = t.row_strings() == ("11111", "101", "001", "00")
-        add("reference-vectors", ok, detail="shape (5,3,3,2)")

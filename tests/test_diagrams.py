@@ -117,12 +117,16 @@ def test_from_row_labels_rejects_bad_sets():
 
 
 def test_rejects_non_partition():
-    with pytest.raises(DomainError):
-        FerrersDiagram((2, 3))
-    with pytest.raises(DomainError):
-        FerrersDiagram((2, 0))
-    with pytest.raises(DomainError):
-        FerrersDiagram(())
+    cases = [
+        ((2, 3), "parts must be weakly decreasing: (2, 3)"),
+        ((2, 0), "parts must be positive: (2, 0)"),
+        ((), "a Ferrers diagram needs at least one cell"),
+        ((2, 3, 0), "parts must be positive: (2, 3, 0)"),  # positivity first
+    ]
+    for parts, text in cases:
+        with pytest.raises(DomainError) as err:
+            FerrersDiagram(parts)
+        assert str(err.value) == text
 
 
 def test_enumerate_diagrams_4():

@@ -1,12 +1,13 @@
 """Brute-force enumerations and the per-shape certification report."""
 
+import json
 import math
 
 import pytest
 
 from ewtab.diagrams import FerrersDiagram, enumerate_diagrams
 from ewtab.errors import BudgetError, DomainError, FormatError
-from ewtab import oracles, permutations
+from ewtab import oracles, permutations, sandpile, tableaux, trees
 
 
 def test_enumerate_stable_counts(d321, d22):
@@ -195,3 +196,94 @@ def test_certify_counting_compares_product_with_elimination(monkeypatch):
     assert counting == {
         "name": "counting", "pass": False,
         "detail": "recurrent=4 trees=4 decorated=4 minimal=3 tableaux=3 elimination=5"}
+
+
+# One library fault per counterexample property, with the shape it trips on
+# and the first counterexample the property reports under it.
+FAULTS = [
+    ("tableau-roundtrip", (3, 2, 1), tableaux, "from_minimal_config",
+     lambda f: lambda d, c: None if sum(c) % 2 else f(d, c),
+     (("111", "00", "0"), (0, 0, 1, 0, 2))),
+    ("avalanche-agreement", (3, 2, 1), tableaux, "canonical_toppling",
+     lambda f: lambda t: tuple(b[::-1] for b in f(t)),
+     ("111", "00", "0")),
+    ("bounds-agreement", (3, 2, 1), permutations, "stable_bounds",
+     lambda f: lambda w: f(w)[:-1] + (f(w)[-1] + 1,),
+     ("stable", ("111", "00", "0"))),
+    ("cornersupport-dual", (3, 2, 1), tableaux, "corner_support",
+     lambda f: lambda t, method="blocks": set() if method == "local" else f(t, method),
+     ("111", "01", "0")),
+    ("supplementary-direct", (3, 2, 1), tableaux, "supplementary_entry",
+     lambda f: lambda t, i, j: 1 - f(t, i, j) if (i + j) % 3 == 0 else f(t, i, j),
+     (("111", "00", "0"), 2, 1)),
+    ("classification-coverage", (3, 2, 1), tableaux, "config_from_decorated",
+     lambda f: lambda t, a: f(t, (0,) * len(a)) if sum(a) % 2 else f(t, a),
+     ("config sets differ", [(0, 1, 1, 0, 2)])),
+    ("decomposition-roundtrip", (3, 2, 1), permutations, "classify_decoration",
+     lambda f: lambda w, a: "stable" if sum(a) == 1 else f(w, a),
+     ("class", (0, 1, 1, 0, 2))),
+    ("word-descent-class", (2, 2, 1), permutations, "to_tableau",
+     lambda f: lambda w: None if w[-1] == 1 else f(w),
+     ("tableau trip", ("11", "00", "0"))),
+    ("tree-roundtrip", (2, 2, 1), trees, "bfs_levels",
+     lambda f: lambda p: f(p)[:-1] if len(p) % 2 else f(p),
+     ("levels", (2, 4, 3, 1), (0, 0, 0, 0))),
+    ("grain-walk", (3, 3, 3), permutations, "stabilize",
+     lambda f: lambda w, a, trace=False: (w, a) if sum(a) % 5 == 0 else f(w, a, trace),
+     ((2, 2, 2, 2, 2), 4)),
+    ("abelian", (3, 2, 1), oracles, "_random_order_stabilize",
+     lambda f: lambda d, h, rng: (f(d, h, rng)[0], [0] * (d.n + 1)),
+     (0, 2, 1, 0, 1)),
+    ("burning-replay", (3, 2, 1), sandpile, "topple",
+     lambda f: lambda d, h, v: h if v == 1 else f(d, h, v),
+     ("replay", (0, 0, 1, 0, 2))),
+    ("level", (3, 2, 1), sandpile, "level",
+     lambda f: lambda d, c: f(d, c) - sum(c) % 2,
+     ((0, 0, 1, 0, 2), -1)),
+]
+
+
+@pytest.mark.parametrize("name, parts, module, attribute, fault, counterexample",
+                         FAULTS, ids=[f[0] for f in FAULTS])
+def test_certify_counterexample_property_can_fail(
+        monkeypatch, name, parts, module, attribute, fault, counterexample):
+    monkeypatch.setattr(module, attribute, fault(getattr(module, attribute)))
+    rep = oracles.certify_shape(FerrersDiagram(parts))
+    assert not rep["pass"]
+    assert {"name": name, "pass": False, "counterexample": counterexample} in rep["properties"]
+
+
+def _passing(name):
+    return {"name": name, "pass": True, "counterexample": None}
+
+
+def _frozen_report(parts, n, counting, word_descent_class, tree_count, extra):
+    return {
+        "shape": list(parts), "n": n, "pass": True,
+        "properties": [
+            {"name": "counting", "pass": True, "detail": counting},
+            *map(_passing, ["tableau-roundtrip", "avalanche-agreement",
+                            "bounds-agreement", "cornersupport-dual",
+                            "supplementary-direct", "classification-coverage",
+                            "decomposition-roundtrip"]),
+            word_descent_class,
+            _passing("tree-roundtrip"),
+            {"name": "tree-count", "pass": True, "detail": tree_count},
+            *map(_passing, ["grain-walk", "abelian", "burning-replay", "level"]),
+            *extra,
+        ],
+    }
+
+
+def test_certify_reports_are_frozen():
+    # compared as JSON text, so that the order of the keys is pinned too
+    got = oracles.certify_shape(FerrersDiagram((3, 2, 1)), grain_steps=10, seed=3)
+    assert json.dumps(got) == json.dumps(_frozen_report(
+        (3, 2, 1), 5, "recurrent=4 trees=4 decorated=4 minimal=3 tableaux=3",
+        _passing("word-descent-class"), "intransitive=246 decorated=246",
+        [{"name": "reference-vectors", "pass": True, "detail": "shape (3,2,1)"}]))
+    got = oracles.certify_shape(FerrersDiagram((9,)), grain_steps=10, seed=3)
+    assert json.dumps(got) == json.dumps(_frozen_report(
+        (9,), 9, "recurrent=1 trees=1 decorated=1 minimal=1 tableaux=1",
+        {"name": "word-descent-class", "pass": True, "detail": "skipped, n=9 > 8"},
+        "skipped, n=9 > 6", []))
