@@ -380,17 +380,28 @@ def _tree_census(s):
 
 def _grain_walk(s):
     """Seeded grain additions, stabilized on the graph and on the word,
-    stay in lockstep."""
+    stay in lockstep.
+
+    Each distinct step (configuration c, vertex v) is checked once; a
+    repeat reuses the successor it checked. While the walk passes, (w, a)
+    is decorated_from_config(d, c), and the three maps a step calls are
+    pure, so (c, v) fixes what the step computes and a failing step fails
+    on its first visit. Every step still draws v from the seeded stream,
+    which abelian continues."""
     d, rng = s.d, s.rng
     c = s.rec[rng.randrange(len(s.rec))]
     w, a = permutations.decorated_from_config(d, c)
+    checked = {}
     for _ in range(s.grain_steps):
         v = rng.randint(1, d.n)
-        c2, _counts = sandpile.stabilize(d, _add_grain(c, v))
-        w2, a2 = permutations.stabilize(w, _add_grain(a, v))[:2]
-        if (w2, a2) != permutations.decorated_from_config(d, c2):
-            yield c, v
-        c, w, a = c2, w2, a2
+        step = checked.get((c, v))
+        if step is None:
+            c2, _counts = sandpile.stabilize(d, _add_grain(c, v))
+            w2, a2 = permutations.stabilize(w, _add_grain(a, v))[:2]
+            if (w2, a2) != permutations.decorated_from_config(d, c2):
+                yield c, v
+            step = checked[c, v] = c2, w2, a2
+        c, w, a = step
 
 
 def _abelian(s):
@@ -484,7 +495,10 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     Raises BudgetError when the shape is too large for the brute-force
     enumerations under the active budget. Each enumeration runs once per
     shape; the checks over all words and trees of size n run once per n
-    in a process.
+    in a process. grain-walk draws grain_steps vertices from the seeded
+    stream but checks each distinct (configuration, vertex) step once,
+    which is exact because the sandpile and word maps it calls are pure;
+    repeats still draw, so abelian continues the same stream.
     """
     if grain_steps < 0:
         raise DomainError("grain_steps must be non-negative, got %d" % grain_steps)

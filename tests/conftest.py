@@ -1,9 +1,14 @@
 """Shared fixtures and the acceptance-criteria summary hook.
 
-test_acceptance.py registers one line per criterion through record_criterion;
-the terminal summary prints them so a run shows at a glance which contract
-points hold.
+test_acceptance.py registers one result per criterion through
+record_criterion; the terminal summary prints them so a run shows at a glance
+which contract points hold. When EWTAB_BENCH_OUT names a file, the session
+also writes there one JSON object per line for each criterion:
+{"name", "pass", "seconds", "budget"}, budget null when there is none.
 """
+
+import json
+import os
 
 import pytest
 
@@ -12,19 +17,29 @@ from ewtab.diagrams import FerrersDiagram
 ACCEPTANCE_RESULTS = []
 
 
-def record_criterion(name, passed, detail=""):
-    ACCEPTANCE_RESULTS.append((name, bool(passed), detail))
+def record_criterion(name, passed, seconds, budget):
+    ACCEPTANCE_RESULTS.append((name, bool(passed), seconds, budget))
 
 
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")
-    for name, passed, detail in ACCEPTANCE_RESULTS:
-        line = "%s %s" % ("PASS" if passed else "FAIL", name)
-        if detail:
-            line += " (%s)" % detail
-        terminalreporter.write_line(line)
+    for name, passed, seconds, budget in ACCEPTANCE_RESULTS:
+        line = "%s %s (%.2fs" % ("PASS" if passed else "FAIL", name, seconds)
+        if budget is not None:
+            line += " of %ds" % budget
+        terminalreporter.write_line(line + ")")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    path = os.environ.get("EWTAB_BENCH_OUT")
+    if not path:
+        return
+    with open(path, "w") as out:
+        for name, passed, seconds, budget in ACCEPTANCE_RESULTS:
+            out.write(json.dumps({"name": name, "pass": passed,
+                                  "seconds": seconds, "budget": budget}) + "\n")
 
 
 @pytest.fixture

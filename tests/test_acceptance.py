@@ -28,10 +28,7 @@ def criterion(name, limit_seconds):
     finally:
         elapsed = time.perf_counter() - start
         within = limit_seconds is None or elapsed <= limit_seconds
-        detail = "%.2fs" % elapsed
-        if limit_seconds is not None:
-            detail += " of %ds" % limit_seconds
-        record_criterion(name, ok and within, detail)
+        record_criterion(name, ok and within, elapsed, limit_seconds)
     assert within, "%s took %.2fs, budget %ss" % (name, elapsed, limit_seconds)
 
 

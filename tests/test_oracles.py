@@ -1,7 +1,9 @@
 """Brute-force enumerations and the per-shape certification report."""
 
+import collections
 import json
 import math
+import random
 
 import pytest
 
@@ -287,3 +289,70 @@ def test_certify_reports_are_frozen():
         (9,), 9, "recurrent=1 trees=1 decorated=1 minimal=1 tableaux=1",
         {"name": "word-descent-class", "pass": True, "detail": "skipped, n=9 > 8"},
         "skipped, n=9 > 6", []))
+
+
+def _reference_walk(d, steps, seed):
+    """The grain walk of certify_shape step by step, on the graph alone:
+    every (configuration, vertex) it visits in order, and the seeded
+    stream after it."""
+    rng = random.Random(seed)
+    rec = list(oracles.enumerate_recurrent(d))
+    c = rec[rng.randrange(len(rec))]
+    visits = []
+    for _ in range(steps):
+        v = rng.randint(1, d.n)
+        visits.append((c, v))
+        heights = list(c)
+        heights[v - 1] += 1
+        c = sandpile.stabilize(d, tuple(heights))[0]
+    return visits, rng
+
+
+@pytest.mark.parametrize("parts", [(2, 2), (3, 3, 3)])
+def test_grain_walk_checks_each_distinct_step_once(monkeypatch, parts):
+    d = FerrersDiagram(parts)
+    visits, rng = _reference_walk(d, 200, seed=0)
+    calls = []
+    stabilize = permutations.stabilize
+
+    def counted(word, decorations, trace=False):
+        calls.append((word, decorations))
+        return stabilize(word, decorations, trace)
+
+    monkeypatch.setattr(permutations, "stabilize", counted)
+    # grain-walk is the only check that stabilizes on the word
+    assert oracles.certify_shape(d, grain_steps=200, seed=0)["pass"]
+    assert len(calls) == len(set(visits)) < len(visits)
+    shape = oracles._Shape(d, None, 200, 0)
+    assert next(oracles._grain_walk(shape), None) is None
+    assert shape.rng.getstate() == rng.getstate()
+
+
+def test_grain_walk_reports_a_late_repeated_fault(monkeypatch):
+    d = FerrersDiagram((3, 3, 3))
+    visits, _ = _reference_walk(d, 200, seed=0)
+
+    def word_input(step):
+        c, v = step
+        w, a = permutations.decorated_from_config(d, c)
+        return w, a[:v - 1] + (a[v - 1] + 1,) + a[v:]
+
+    inputs = collections.Counter(map(word_input, set(visits)))
+    first = {}
+    for i, step in enumerate(visits):
+        first.setdefault(step, i)
+    # first reached after step 100, visited again, and the only step whose
+    # word stabilization sees this input
+    late = [step for step, i in first.items()
+            if i > 100 and visits.count(step) > 1 and inputs[word_input(step)] == 1]
+    target = min(late, key=first.get)
+    bad = word_input(target)
+    stabilize = permutations.stabilize
+
+    def faulty(word, decorations, trace=False):
+        out = stabilize(word, decorations, trace)
+        return (out[0][::-1], *out[1:]) if (word, decorations) == bad else out
+
+    monkeypatch.setattr(permutations, "stabilize", faulty)
+    rep = oracles.certify_shape(d, grain_steps=200, seed=0)
+    assert {"name": "grain-walk", "pass": False, "counterexample": target} in rep["properties"]
