@@ -197,19 +197,34 @@ def stabilize(word, decorations, trace=False):
     word of the graph stabilization.
 
     The search for a settle walks each block's mask bit by bit in word
-    order and stops at the first ready letter. It need not start at block 3
-    every time. Lemma: if no letter of blocks 3..k-1 is ready and x settles
-    from block k, then afterwards no letter of blocks 3..k-3 is ready.
-    Proof: whether the letter y of block j is ready depends only on y's
-    decoration and on blocks j and j-1. The settle changes the decoration
-    of x and of its witnesses, which lie in block k-1, and changes the
-    masks of blocks k-2 (x joins) and k (x leaves); dropping trailing
-    empty blocks removes only blocks after k. So for j <= k-3 neither
-    block j, nor block j-1, nor any decoration in block j changed, and
-    those letters are as unready as before. Hence after a settle from
-    block k the search starts at max(3, k-2) and still finds the leftmost
-    ready letter; a topple round moves letters and merges blocks near the
-    front, so the search after it starts at 3 again.
+    order and stops at the first ready letter. It visits only the blocks
+    set in `dirty`, a bitmask of the blocks from 3 on that may hold a ready
+    letter, and clears each block it finds with nothing ready. Rule: a
+    settle from block k marks k-2 and k+1; a topple from block k in {1, 2}
+    that lands in block t marks t, and block 3 too when k = 2; when blocks
+    1 and 3 merge, the mask shifts down by two. Proof that every ready
+    letter from block 3 on stays in a marked block: whether the letter y of
+    block j is ready depends only on y's decoration and on blocks j-1 and
+    j. A settle of x from block k leaves block k marked (x was found
+    there), puts x in block k-2 and takes a possible witness away from the
+    letters of block k+1. Each witness w of x in block k-1 gains a grain,
+    but w beats x too (x beats w exactly when they are neighbours), so x,
+    now in block k-2, is a new witness of w: w's bound rises with its
+    decoration. No other letter of block k-1 gains a witness or a grain,
+    and dropping trailing empty blocks removes only blocks after k. A topple pays witnesses in
+    block 0 or 1, outside the search; x leaves block k, which can take a
+    witness away only from the letters of block k+1 (block 3 when k = 2),
+    and joins block t, where it may be ready, while the letters of block
+    t+1 can only gain x as a witness. A merge moves every block from 4 on
+    up by two together with the block before it. So the search finds the
+    same leftmost ready letter as a search from block 3 would.
+
+    A topple's landing scan always finds a block: no move changes a
+    letter's kind (a settle moves two blocks, a topple lands behind a block
+    of the other kind, a merge shifts by two), so every ascending letter
+    beats the sink in block 0 and every descending letter beats n, the
+    largest letter, which ends an ascending run. Its RuntimeError is a
+    self-check only.
 
     Returns (word, decorations), or (word, decorations, trace) with trace a
     list of {action, letter, word, decorations} snapshots after each move.
@@ -220,9 +235,12 @@ def stabilize(word, decorations, trace=False):
     masks = [sandpile._mask(block) for block in _runs(word)]
     events = []
     cap = 10_000 + 40 * (n + 2) ** 3 * (sum(deco) + n + 2)
-    start = 3  # no letter of blocks 3..start-1 is ready (see the lemma)
+    dirty = ((1 << len(masks)) - 1) & -8  # the blocks that may hold a ready letter
     for _ in range(cap - 1):
-        for k in range(start, len(masks)):  # the search for a settle
+        search = dirty
+        while search:  # the search for a settle, leftmost dirty block first
+            k = (search & -search).bit_length() - 1
+            search ^= 1 << k
             rest, prev = masks[k], masks[k - 1]
             if k % 2:  # witnesses below the letter
                 while rest:
@@ -239,8 +257,9 @@ def stabilize(word, decorations, trace=False):
             if rest:
                 first, unstable = 0, low if k % 2 else 1 << x
                 break
+            dirty ^= 1 << k  # nothing ready in block k
         else:  # a topple round: the ready letters of blocks 1 and 2
-            first, unstable, start = masks[1], 0, 3
+            first, unstable = masks[1], 0
             for k in range(1, min(3, len(masks))):
                 rest = masks[k]
                 while rest:
@@ -272,18 +291,21 @@ def stabilize(word, decorations, trace=False):
                 masks[k - 2] |= 1 << x
                 while not masks[-1]:
                     masks.pop()
-                start = max(3, k - 2)
+                dirty |= 9 << (k - 2)  # blocks k-2 and k+1
             else:  # a topple: scan the other kind's blocks from the back
                 to = len(masks) - 1 - (len(masks) + k) % 2
                 while to > 1 and not masks[to] & beat:  # down to block 0 or 1
                     to -= 2
                 if not masks[to] & beat:
-                    max(())  # as the max over no block did: its ValueError
+                    raise RuntimeError("letter %d beats no letter of the other kind" % x)
                 if to + 1 == len(masks):
                     masks.append(0)
                 masks[to + 1] |= 1 << x
+                dirty |= 1 << (to + 1) | (k - 1) << 3  # the landing block; 3 if k = 2
                 if len(masks) > 2 and not masks[2]:  # the first descending block emptied
                     masks[1:4] = [masks[1] | masks[3]]
+                    dirty >>= 2
+            dirty &= ((1 << len(masks)) - 1) & -8
             if trace:
                 events.append({"action": "settle" if k > 2 else "topple", "letter": x,
                                "word": _write([list(sandpile._bits(m)) for m in masks]),

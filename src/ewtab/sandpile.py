@@ -85,26 +85,31 @@ def stabilize(diagram, heights):
     the topples come in the same smallest-first order as a rescan from
     vertex 1 after each one.
 
+    Heights are kept by label, with a slot at 0 that soaks up the sink's
+    grain, and the sink gets degree -1, which its slot never reaches: a
+    topple walks the diagram's neighbour table with no sink test and no
+    shift.
+
     Returns (stable_heights, topple_counts) where topple_counts maps every
     vertex 1..n to how many times it toppled.
     """
-    heights = list(_check_config(diagram, heights))
+    heights = [0, *_check_config(diagram, heights)]
     n = diagram.n
-    degs = diagram.degrees
-    counts = {v: 0 for v in range(1, n + 1)}
-    unstable = [v for v in range(1, n + 1) if heights[v - 1] >= degs[v - 1]]
+    degs = (-1, *diagram.degrees)
+    neighbors = diagram._neighbors_of
+    counts = [0] * (n + 1)
+    unstable = [v for v in range(1, n + 1) if heights[v] >= degs[v]]
     while unstable:  # a sorted list is already a heap
         v = unstable[0]
-        heights[v - 1] -= degs[v - 1]
+        heights[v] -= degs[v]
         counts[v] += 1
-        if heights[v - 1] < degs[v - 1]:
+        if heights[v] < degs[v]:
             heapq.heappop(unstable)
-        for u in diagram.neighbors(v):
-            if u != 0:
-                heights[u - 1] += 1
-                if heights[u - 1] == degs[u - 1]:
-                    heapq.heappush(unstable, u)
-    return tuple(heights), counts
+        for u in neighbors[v]:
+            heights[u] += 1
+            if heights[u] == degs[u]:
+                heapq.heappush(unstable, u)
+    return tuple(heights[1:]), dict(zip(range(1, n + 1), counts[1:]))
 
 
 def _avalanche(diagram, heights, what):

@@ -98,8 +98,8 @@ def perm_to_tree(word, decorations):
         prev = permutations.in_block_order(blocks[k - 1], k)
         for x in blocks[k]:
             parents[x] = prev[decorations[x - 1]]
-    parents = tuple(parents)
-    if not is_intransitive(parents):
+    parents = tuple(parents)  # a tree: each parent is a letter of the previous block
+    if not _intransitive(parents):
         raise RuntimeError("tree built from %r is not intransitive" % (word,))
     return parents
 

@@ -297,7 +297,7 @@ def test_stabilize_matches_reference():
         n = rng.randint(1, 12)
         word = tuple(rng.sample(range(1, n + 1), n))
         cases.append((word, tuple(rng.randint(0, 4) for _ in range(n))))
-    for parts in [tuple(range(16, 0, -1)), (8,) * 8]:
+    for parts in [tuple(range(16, 0, -1)), (8,) * 8, tuple(range(32, 0, -1)), (20,) * 20]:
         d = FerrersDiagram(parts)
         top = tuple(g - 1 for g in d.degrees)
         word, deco = permutations.decorated_from_config(d, top)

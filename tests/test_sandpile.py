@@ -61,17 +61,31 @@ def reference_graph_stabilize(diagram, heights):
             return tuple(heights), counts
 
 
+class LoggedTable(tuple):
+    """A neighbour table that logs every vertex looked up in it."""
+
+    def __getitem__(self, v):
+        self.log.append(v)
+        return super().__getitem__(v)
+
+
 class LoggedDiagram(FerrersDiagram):
-    """A diagram that logs every vertex whose neighbours are asked for:
-    the stabilizer asks once per topple."""
+    """A diagram whose neighbour table logs every vertex looked up in it:
+    the stabilizer looks up once per topple, and so does the rescan through
+    neighbors()."""
 
     def __init__(self, parts):
         super().__init__(parts)
+        self._neighbors_of = LoggedTable(self._neighbors_of)
         self.log = []
 
-    def neighbors(self, v):
-        self.log.append(v)
-        return super().neighbors(v)
+    @property
+    def log(self):
+        return self._neighbors_of.log
+
+    @log.setter
+    def log(self, log):
+        self._neighbors_of.log = log
 
 
 # The benchmark's shape families: staircases 8, 16, 32 and rectangles 10, 20.
@@ -100,6 +114,24 @@ def test_stabilize_matches_rescan_on_bursts():
             _, counts = stabilize_against_reference(parts, heights)
             topples += sum(counts.values())
     assert topples > 5_000
+
+
+def test_stabilize_matches_rescan_on_every_small_shape():
+    # every shape of semiperimeter 2..6, the one-row and one-column ones
+    # among them, from empty heights to heights far above the degrees
+    rng = random.Random(21)
+    shapes = [d.parts for m in range(2, 7) for d in enumerate_diagrams(m)]
+    assert len(shapes) == 31 and (5,) in shapes and (1,) * 5 in shapes
+    topples = 0
+    for parts in shapes:
+        degs = FerrersDiagram(parts).degrees
+        cases = [[0] * len(degs), [g - 1 for g in degs], list(degs),
+                 [50 * g + 7 for g in degs]]
+        cases += [[rng.randint(0, 10 * g) for g in degs] for _ in range(4)]
+        for heights in cases:
+            _, counts = stabilize_against_reference(parts, heights)
+            topples += sum(counts.values())
+    assert topples > 10_000
 
 
 def test_stabilize_matches_rescan_on_one_heavy_vertex():
