@@ -16,7 +16,7 @@ passes with the detail "skipped, n=<n> > <largest n>".
 
 All enumerators refuse to start (or to continue, for the backtracking ones)
 once their work estimate passes a budget: the default is 10**7, overridable
-through the EWTAB_ORACLE_BUDGET environment variable or the budget argument.
+through the EWTAB_ORACLE_BUDGET environment variable.
 """
 
 import collections
@@ -44,9 +44,7 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 
 
-def _budget(budget):
-    if budget is not None:
-        return int(budget)
+def _budget():
     env = os.environ.get("EWTAB_ORACLE_BUDGET")
     try:
         return int(env) if env else DEFAULT_BUDGET
@@ -56,12 +54,12 @@ def _budget(budget):
         ) from None
 
 
-def enumerate_stable(diagram, budget=None):
+def enumerate_stable(diagram):
     """All stable configurations, heights of vertex 1 varying slowest."""
     cost = 1
     for g in diagram.degrees:
         cost *= g
-    limit = _budget(budget)
+    limit = _budget()
     if cost > limit:
         raise BudgetError(
             "%d stable configurations exceed the budget of %d" % (cost, limit)
@@ -107,25 +105,25 @@ def _burner(diagram):
     return burns
 
 
-def enumerate_recurrent(diagram, budget=None):
+def enumerate_recurrent(diagram):
     burns = _burner(diagram)
-    return (c for c in enumerate_stable(diagram, budget) if burns(c))
+    return (c for c in enumerate_stable(diagram) if burns(c))
 
 
-def enumerate_minimal(diagram, budget=None):
+def enumerate_minimal(diagram):
     """Recurrent configurations of total height #edges - deg(sink)."""
     target = diagram.edge_count - diagram.parts[0]
-    return (c for c in enumerate_recurrent(diagram, budget) if sum(c) == target)
+    return (c for c in enumerate_recurrent(diagram) if sum(c) == target)
 
 
-def enumerate_tableaux(diagram, budget=None):
+def enumerate_tableaux(diagram):
     """All EW-tableaux of the shape, by backtracking over rows.
 
     The budget counts visited search nodes and, unlike the product
     enumerators, may run out midway through iteration.
     """
     parts = diagram.parts
-    limit = _budget(budget)
+    limit = _budget()
     nodes = [0]
 
     def clashes(done, row):
@@ -163,9 +161,9 @@ def enumerate_tableaux(diagram, budget=None):
     return extend([])
 
 
-def enumerate_canonical_decorated(diagram, budget=None):
+def enumerate_canonical_decorated(diagram):
     """All (tableau, decorations) pairs with canonical decorations."""
-    for t in enumerate_tableaux(diagram, budget):
+    for t in enumerate_tableaux(diagram):
         bounds = tableaux.canonical_bounds(t)
         for deco in itertools.product(*[range(b) for b in bounds]):
             yield t, deco
@@ -229,12 +227,12 @@ class _Shape:
     rng is the one seeded stream that grain-walk draws from and abelian
     continues."""
 
-    def __init__(self, d, budget, grain_steps, seed):
+    def __init__(self, d, grain_steps, seed):
         self.d, self.grain_steps, self.rng = d, grain_steps, random.Random(seed)
-        self.rec = list(enumerate_recurrent(d, budget))
+        self.rec = list(enumerate_recurrent(d))
         target = d.edge_count - d.parts[0]
         self.minimal = {c for c in self.rec if sum(c) == target}
-        self.tabs = list(enumerate_tableaux(d, budget))
+        self.tabs = list(enumerate_tableaux(d))
         self.mins = [tableaux.minimal_config(t) for t in self.tabs]
         self.words = [permutations.from_tableau(t) for t in self.tabs]
         self.nus = [tableaux.canonical_bounds(t) for t in self.tabs]
@@ -290,10 +288,13 @@ def _bounds_agreement(s):
     """Canonical and stable bounds agree across all three carriers, and the
     minimal configuration plus the stable bound gives the degree."""
     for t, c, w, nu in zip(s.tabs, s.mins, s.words, s.nus):
-        if nu != sandpile.canonical_bounds(s.d, c) or nu != permutations.canonical_bounds(w):
+        graph = sandpile.canonical_toppling(s.d, c)
+        runs = permutations.run_blocks(w)
+        if (nu != sandpile.canonical_bounds_from_blocks(graph)
+                or nu != sandpile.canonical_bounds_from_blocks(runs)):
             yield "canonical", t.row_strings()
-        st = tableaux.stable_bounds(t)
-        if st != permutations.stable_bounds(w):
+        st = sandpile.stable_bounds_from_blocks(tableaux.canonical_toppling(t))
+        if st != sandpile.stable_bounds_from_blocks(runs):
             yield "stable", t.row_strings()
         if tuple(r + b for r, b in zip(c, st)) != s.d.degrees:
             yield "degree", t.row_strings()
@@ -339,7 +340,7 @@ def _decomposition_roundtrip(s):
         dd, back = permutations.config_from_decorated(w, aw)
         if dd != s.d or back != c:
             yield "word", c
-        if permutations.classify_decoration(w, aw) != "canonical":
+        if sandpile.classify_decoration(permutations.run_blocks(w), aw) != "canonical":
             yield "class", c
 
 
@@ -482,7 +483,7 @@ _CHECKS = (
 )
 
 
-def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
+def certify_shape(diagram, *, grain_steps=200, seed=0):
     """Run every cross-check the library supports on one shape and report.
 
     Returns {"shape", "n", "pass", "properties"} where properties is a list
@@ -502,7 +503,7 @@ def certify_shape(diagram, *, grain_steps=200, seed=0, budget=None):
     """
     if grain_steps < 0:
         raise DomainError("grain_steps must be non-negative, got %d" % grain_steps)
-    shape = _Shape(diagram, budget, grain_steps, seed)
+    shape = _Shape(diagram, grain_steps, seed)
     report = []
     for name, check, largest in _CHECKS:
         if diagram.n > largest:
@@ -537,7 +538,7 @@ def _tree_count(n):
         1 for parents in _all_trees(n) if _is_intransitive_naive(parents)
     )
     decorated = sum(
-        math.prod(permutations.canonical_bounds(p))
+        math.prod(sandpile.canonical_bounds_from_blocks(permutations.run_blocks(p)))
         for p in itertools.permutations(range(1, n + 1))
     )
     return intransitive, decorated

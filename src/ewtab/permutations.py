@@ -6,14 +6,15 @@ the canonical toppling order of a recurrent configuration on the Ferrers
 graph whose rows are {0} plus the descent bottoms of the word. Ascending
 blocks hold column vertices, descending blocks hold row vertices.
 
-The module converts both ways between words, tableaux and configurations,
-feeds the run blocks to the block core for the bounds, and implements
-grain stabilization directly on decorated words: a letter with too large a
-decoration either settles (moves to the previous block of its own kind, two
-blocks towards the front, handing one grain to each witness that made its
-bound) or, from the first block of its kind, topples (pays out its bound
-and jumps to the last block it still beats). The result is canonical and
-matches graph stabilization exactly.
+The module converts both ways between words, tableaux and configurations
+and implements grain stabilization directly on decorated words: a letter
+with too large a decoration either settles (moves to the previous block of
+its own kind, two blocks towards the front, handing one grain to each
+witness that made its bound) or, from the first block of its kind, topples
+(pays out its bound and jumps to the last block it still beats). The
+result is canonical and matches graph stabilization exactly. A word's
+minimal configuration, bounds and decoration class are the block core's
+(sandpile's *_from_blocks and classify_decoration) on its run_blocks.
 """
 
 from .errors import DomainError
@@ -29,10 +30,6 @@ __all__ = [
     "from_tableau",
     "to_tableau",
     "word_from_config",
-    "minimal_config",
-    "canonical_bounds",
-    "stable_bounds",
-    "classify_decoration",
     "decorated_from_config",
     "config_from_decorated",
     "stabilize",
@@ -127,33 +124,6 @@ def to_tableau(word):
 def word_from_config(diagram, heights):
     """Word of the canonical toppling of a recurrent configuration."""
     return word_from_blocks(sandpile.canonical_toppling(diagram, heights))
-
-
-def minimal_config(word):
-    """Minimal recurrent configuration with this avalanche order: a letter
-    holds its neighbors in the later blocks (smaller letters of the later
-    descending blocks for an ascending letter, larger letters of the later
-    ascending blocks for a descending one)."""
-    return sandpile.minimal_from_blocks(run_blocks(word))
-
-
-def canonical_bounds(word):
-    """Per-letter count of neighbors in the previous block (the sink for the
-    first block). Decorations strictly below these bounds are exactly the
-    ones that keep the avalanche order."""
-    return sandpile.canonical_bounds_from_blocks(run_blocks(word))
-
-
-def stable_bounds(word):
-    """Per-letter count of neighbors up to its own block; these bounds plus
-    the minimal configuration give the degrees."""
-    return sandpile.stable_bounds_from_blocks(run_blocks(word))
-
-
-def classify_decoration(word, decorations):
-    """'canonical' below the canonical bounds everywhere, 'stable' below the
-    stable bounds only, 'invalid' otherwise."""
-    return sandpile.classify_decoration(run_blocks(word), decorations)
 
 
 def decorated_from_config(diagram, heights):

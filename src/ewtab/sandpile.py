@@ -29,7 +29,6 @@ __all__ = [
     "canonical_toppling",
     "level",
     "minimal_recurrent",
-    "canonical_bounds",
     "check_counts",
     "minimal_from_blocks",
     "canonical_bounds_from_blocks",
@@ -197,13 +196,6 @@ def minimal_recurrent(diagram, heights):
     holds its degree minus its neighbors in the earlier blocks."""
     got = _recurrent_avalanche(diagram, _check_config(diagram, heights))[1]
     return tuple(g - s for g, s in zip(diagram.degrees, got[1:]))
-
-
-def canonical_bounds(diagram, heights):
-    """For each vertex, its number of neighbors in the immediately preceding
-    canonical block. Decorations strictly below these bounds are exactly the
-    ones that leave the canonical toppling unchanged."""
-    return canonical_bounds_from_blocks(canonical_toppling(diagram, heights))
 
 
 # The block core, shared by every encoding: functions of the canonical blocks

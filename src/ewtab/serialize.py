@@ -270,7 +270,7 @@ def parse_perm(data):
         return _parse_perm_blocks(text)
     tokens = text.split()
     if len(tokens) == 1:
-        if not tokens[0].isdigit():
+        if not tokens[0].isdecimal():
             raise FormatError("%r is not a permutation word" % text)
         word = tuple(int(ch) for ch in tokens[0])
     else:
@@ -288,7 +288,7 @@ def _parse_perm_blocks(text):
         block = []
         for tok in g.split():
             letter, caret, deco = tok.partition("^")
-            if not caret or not letter.isdigit() or not deco.isdigit():
+            if not caret or not letter.isdecimal() or not deco.isdecimal():
                 raise FormatError("bad decorated letter %r" % tok)
             block.append((int(letter), int(deco)))
         word.extend(x for x, _ in block)

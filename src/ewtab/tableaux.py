@@ -32,8 +32,6 @@ __all__ = [
     "supplementary_entry",
     "corner_support",
     "canonical_bounds",
-    "stable_bounds",
-    "classify_decoration",
     "decorated_from_config",
     "config_from_decorated",
 ]
@@ -404,20 +402,6 @@ def canonical_bounds(t):
     for j, count in zip(d.col_labels, _column_counts(unwitnessed, d.parts[0])):
         out[j - 1] = count
     return tuple(out)
-
-
-def stable_bounds(t):
-    """Per-vertex decoration bounds below which the decorated configuration
-    stays stable: total 0s in the row, total 1s in the column, read off the
-    blocks of the tableau's own toppling scan."""
-    return sandpile.stable_bounds_from_blocks(canonical_toppling(t))
-
-
-def classify_decoration(t, decorations):
-    """'canonical' when every decoration is below the canonical bound,
-    'stable' when below the stable bound only, 'invalid' otherwise; the
-    bounds come from the blocks of the tableau's own toppling scan."""
-    return sandpile.classify_decoration(canonical_toppling(t), decorations)
 
 
 def decorated_from_config(diagram, heights):

@@ -48,7 +48,7 @@ def _levels(parents):
     children = [[] for _ in range(n + 1)]
     for v in range(1, n + 1):
         p = parents[v]
-        if not isinstance(p, int) or not 0 <= p <= n or p == v:
+        if type(p) is not int or not 0 <= p <= n or p == v:
             raise DomainError("vertex %d has invalid parent %r" % (v, p))
         children[p].append(v)
     levels = [(0,)]

@@ -343,6 +343,15 @@ def test_convert_rejects_float_letters(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("data", ["1^\u00b2", "\u00b2"])
+def test_convert_rejects_digits_int_cannot_read(capsys, data):
+    # a superscript two is a digit to str.isdigit, but int() refuses it
+    code, out, err = run(capsys, "convert", "--from", "perm", "--to", "perm",
+                         "--data", data)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_convert_rejects_unreadable_row_decoration(capsys):
     code, out, err = run(capsys, "convert", "--from", "tableau", "--to",
                          "perm", "--data", "11\n0 ^x\n^ 0 0")
@@ -543,7 +552,7 @@ def test_convert_rejects_what_encodes_no_recurrent_config(capsys, argv):
 def test_every_entry_rejects_a_stable_decoration_with_the_same_text(capsys, entry):
     t = EWTableau(FerrersDiagram((3, 2, 1)), ((1, 1, 1), (0, 1), (0,)))
     word, deco = permutations.from_tableau(t), (0, 0, 1, 0, 0)
-    assert tableaux.classify_decoration(t, deco) == "stable"
+    assert sandpile.classify_decoration(tableaux.canonical_toppling(t), deco) == "stable"
     if entry == "cli":
         code, out, err = run(capsys, "convert", "--from", "perm", "--to", "config",
                              "--data", serialize.perm_to_text(word, deco))

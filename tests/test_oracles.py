@@ -66,17 +66,19 @@ def test_decorated_count_equals_recurrent():
             assert n_dec == n_rec
 
 
-def test_budget_guard_before_iteration():
+def test_budget_guard_before_iteration(monkeypatch):
     big = FerrersDiagram((10,) * 10)
+    monkeypatch.setenv("EWTAB_ORACLE_BUDGET", "1000")
     with pytest.raises(BudgetError):
-        oracles.enumerate_stable(big, budget=1000)
+        oracles.enumerate_stable(big)
     with pytest.raises(BudgetError):
-        oracles.enumerate_recurrent(big, budget=1000)
+        oracles.enumerate_recurrent(big)
 
 
-def test_budget_guard_mid_iteration():
+def test_budget_guard_mid_iteration(monkeypatch):
     d = FerrersDiagram((6, 6, 6, 6, 6, 6))
-    gen = oracles.enumerate_tableaux(d, budget=50)
+    monkeypatch.setenv("EWTAB_ORACLE_BUDGET", "50")
+    gen = oracles.enumerate_tableaux(d)
     with pytest.raises(BudgetError):
         for _ in gen:
             pass
@@ -209,9 +211,9 @@ FAULTS = [
     ("avalanche-agreement", (3, 2, 1), tableaux, "canonical_toppling",
      lambda f: lambda t: tuple(b[::-1] for b in f(t)),
      ("111", "00", "0")),
-    ("bounds-agreement", (3, 2, 1), permutations, "stable_bounds",
-     lambda f: lambda w: f(w)[:-1] + (f(w)[-1] + 1,),
-     ("stable", ("111", "00", "0"))),
+    ("bounds-agreement", (3, 2, 1), sandpile, "stable_bounds_from_blocks",
+     lambda f: lambda blocks: f(blocks)[:-1] + (f(blocks)[-1] + 1,),
+     ("degree", ("111", "00", "0"))),
     ("cornersupport-dual", (3, 2, 1), tableaux, "corner_support",
      lambda f: lambda t, method="blocks": set() if method == "local" else f(t, method),
      ("111", "01", "0")),
@@ -221,9 +223,9 @@ FAULTS = [
     ("classification-coverage", (3, 2, 1), tableaux, "config_from_decorated",
      lambda f: lambda t, a: f(t, (0,) * len(a)) if sum(a) % 2 else f(t, a),
      ("config sets differ", [(0, 1, 1, 0, 2)])),
-    ("decomposition-roundtrip", (3, 2, 1), permutations, "classify_decoration",
-     lambda f: lambda w, a: "stable" if sum(a) == 1 else f(w, a),
-     ("class", (0, 1, 1, 0, 2))),
+    ("decomposition-roundtrip", (3, 2, 1), permutations, "decorated_from_config",
+     lambda f: lambda d, c: (lambda w, a: (w, a[::-1] if sum(a) == 1 else a))(*f(d, c)),
+     ("word", (0, 1, 1, 0, 2))),
     ("word-descent-class", (2, 2, 1), permutations, "to_tableau",
      lambda f: lambda w: None if w[-1] == 1 else f(w),
      ("tableau trip", ("11", "00", "0"))),
@@ -323,7 +325,7 @@ def test_grain_walk_checks_each_distinct_step_once(monkeypatch, parts):
     # grain-walk is the only check that stabilizes on the word
     assert oracles.certify_shape(d, grain_steps=200, seed=0)["pass"]
     assert len(calls) == len(set(visits)) < len(visits)
-    shape = oracles._Shape(d, None, 200, 0)
+    shape = oracles._Shape(d, 200, 0)
     assert next(oracles._grain_walk(shape), None) is None
     assert shape.rng.getstate() == rng.getstate()
 

@@ -121,31 +121,33 @@ def test_word_from_config():
 
 
 def test_minimal_config():
-    assert permutations.minimal_config((1, 2, 7, 3, 8, 6, 4, 5)) == (
+    runs = permutations.run_blocks
+    assert sandpile.minimal_from_blocks(runs((1, 2, 7, 3, 8, 6, 4, 5))) == (
         0, 0, 2, 1, 0, 0, 3, 2)
-    assert permutations.minimal_config((1, 3, 5, 4, 2)) == (0, 0, 1, 0, 2)
-    assert permutations.minimal_config((2, 3, 1)) == (0, 1, 1)
+    assert sandpile.minimal_from_blocks(runs((1, 3, 5, 4, 2))) == (0, 0, 1, 0, 2)
+    assert sandpile.minimal_from_blocks(runs((2, 3, 1))) == (0, 1, 1)
 
 
 def test_minimal_config_matches_tableau_route():
     for m in range(2, 8):
         for d in enumerate_diagrams(m):
             for t in oracles.enumerate_tableaux(d):
-                w = permutations.from_tableau(t)
-                assert permutations.minimal_config(w) == (
+                blocks = permutations.run_blocks(permutations.from_tableau(t))
+                assert sandpile.minimal_from_blocks(blocks) == (
                     tableaux.minimal_config(t))
 
 
 def test_canonical_bounds_worked_example():
-    w = (3, 5, 8, 7, 1, 4, 9, 6, 2)
-    assert permutations.canonical_bounds(w) == (3, 2, 1, 1, 1, 1, 1, 1, 2)
-    assert permutations.stable_bounds(w) == (3, 5, 1, 2, 1, 2, 1, 1, 3)
+    blocks = permutations.run_blocks((3, 5, 8, 7, 1, 4, 9, 6, 2))
+    assert sandpile.canonical_bounds_from_blocks(blocks) == (3, 2, 1, 1, 1, 1, 1, 1, 2)
+    assert sandpile.stable_bounds_from_blocks(blocks) == (3, 5, 1, 2, 1, 2, 1, 1, 3)
 
 
 def test_bounds_mid_stabilization():
-    assert permutations.canonical_bounds((6, 7, 2, 3, 5, 4, 1)) == (
+    runs = permutations.run_blocks
+    assert sandpile.canonical_bounds_from_blocks(runs((6, 7, 2, 3, 5, 4, 1))) == (
         2, 2, 1, 1, 1, 1, 1)
-    assert permutations.canonical_bounds((3, 5, 7, 4, 1, 6, 2)) == (
+    assert sandpile.canonical_bounds_from_blocks(runs((3, 5, 7, 4, 1, 6, 2))) == (
         3, 1, 1, 2, 1, 2, 1)
 
 
@@ -153,35 +155,36 @@ def test_bounds_match_tableau_route():
     for m in range(2, 8):
         for d in enumerate_diagrams(m):
             for t in oracles.enumerate_tableaux(d):
-                w = permutations.from_tableau(t)
-                assert permutations.canonical_bounds(w) == (
+                blocks = permutations.run_blocks(permutations.from_tableau(t))
+                assert sandpile.canonical_bounds_from_blocks(blocks) == (
                     tableaux.canonical_bounds(t))
-                assert permutations.stable_bounds(w) == (
-                    tableaux.stable_bounds(t))
+                assert sandpile.stable_bounds_from_blocks(blocks) == (
+                    sandpile.stable_bounds_from_blocks(tableaux.canonical_toppling(t)))
 
 
 def test_minimal_plus_stable_is_degrees():
     for n in range(1, 8):
         for word in itertools.permutations(range(1, n + 1)):
             d = permutations.shape_of_word(word)
-            r = permutations.minimal_config(word)
-            sb = permutations.stable_bounds(word)
+            blocks = permutations.run_blocks(word)
+            r = sandpile.minimal_from_blocks(blocks)
+            sb = sandpile.stable_bounds_from_blocks(blocks)
             assert tuple(x + y for x, y in zip(r, sb)) == d.degrees
 
 
 def test_classify_decoration():
-    w = (3, 5, 8, 7, 1, 4, 9, 6, 2)
+    blocks = permutations.run_blocks((3, 5, 8, 7, 1, 4, 9, 6, 2))
     top_canonical = (2, 1, 0, 0, 0, 0, 0, 0, 1)
     top_stable = (2, 4, 0, 1, 0, 1, 0, 0, 2)
-    assert permutations.classify_decoration(w, top_canonical) == "canonical"
-    assert permutations.classify_decoration(w, top_stable) == "stable"
-    assert permutations.classify_decoration(w, (0,) * 9) == "canonical"
+    assert sandpile.classify_decoration(blocks, top_canonical) == "canonical"
+    assert sandpile.classify_decoration(blocks, top_stable) == "stable"
+    assert sandpile.classify_decoration(blocks, (0,) * 9) == "canonical"
     over = (2, 5, 0, 1, 0, 1, 0, 0, 2)
-    assert permutations.classify_decoration(w, over) == "invalid"
+    assert sandpile.classify_decoration(blocks, over) == "invalid"
     with pytest.raises(DomainError):
-        permutations.classify_decoration(w, (0,) * 8)
+        sandpile.classify_decoration(blocks, (0,) * 8)
     with pytest.raises(DomainError):
-        permutations.classify_decoration(w, (-1,) + (0,) * 8)
+        sandpile.classify_decoration(blocks, (-1,) + (0,) * 8)
 
 
 def test_decorated_from_config():
@@ -203,7 +206,8 @@ def test_config_round_trip():
         for d in enumerate_diagrams(m):
             for c in oracles.enumerate_recurrent(d):
                 w, a = permutations.decorated_from_config(d, c)
-                assert permutations.classify_decoration(w, a) == "canonical"
+                blocks = permutations.run_blocks(w)
+                assert sandpile.classify_decoration(blocks, a) == "canonical"
                 d2, c2 = permutations.config_from_decorated(w, a)
                 assert (d2, c2) == (d, c)
 
@@ -323,7 +327,8 @@ def test_stabilize_matches_reference_at_larger_sizes():
     for _ in range(20):
         n = rng.randint(40, 80)
         word = tuple(rng.sample(range(1, n + 1), n))
-        deco = [rng.randrange(b) for b in permutations.canonical_bounds(word)]
+        nu = sandpile.canonical_bounds_from_blocks(permutations.run_blocks(word))
+        deco = [rng.randrange(b) for b in nu]
         for _ in range(rng.randint(1, 2 * n)):
             deco[rng.randrange(n)] += 1
         ours = stabilize_or_error(permutations.stabilize, word, deco)
@@ -426,12 +431,13 @@ def test_stabilize_handles_stable_non_canonical():
     w = (3, 5, 8, 7, 1, 4, 9, 6, 2)
     top_stable = (2, 4, 0, 1, 0, 1, 0, 0, 2)
     w2, a2, events = permutations.stabilize(w, top_stable, trace=True)
-    assert permutations.classify_decoration(w2, a2) == "canonical"
+    blocks2 = permutations.run_blocks(w2)
+    assert sandpile.classify_decoration(blocks2, a2) == "canonical"
     assert all(e["action"] == "settle" for e in events)
     # total grain count is preserved when nothing topples into the sink
     d = permutations.shape_of_word(w)
-    r = permutations.minimal_config(w)
-    r2 = permutations.minimal_config(w2)
+    r = sandpile.minimal_from_blocks(permutations.run_blocks(w))
+    r2 = sandpile.minimal_from_blocks(blocks2)
     assert sum(r) + sum(top_stable) == sum(r2) + sum(a2)
 
 
@@ -453,8 +459,9 @@ def test_blocks_cover_letters(word):
 @given(word_strategy)
 @settings(max_examples=60)
 def test_bounds_are_positive(word):
-    nu = permutations.canonical_bounds(word)
-    sb = permutations.stable_bounds(word)
+    blocks = permutations.run_blocks(word)
+    nu = sandpile.canonical_bounds_from_blocks(blocks)
+    sb = sandpile.stable_bounds_from_blocks(blocks)
     assert all(v >= 1 for v in nu)
     assert all(a <= b for a, b in zip(nu, sb))
 
@@ -486,7 +493,8 @@ def test_stabilize_matches_graph_beyond_enumeration(parts):
 def test_stabilize_random_word_beyond_enumeration():
     rng = random.Random(120)
     word = tuple(rng.sample(range(1, 121), 120))
-    deco = tuple(rng.randrange(b) for b in permutations.canonical_bounds(word))
+    nu = sandpile.canonical_bounds_from_blocks(permutations.run_blocks(word))
+    deco = tuple(rng.randrange(b) for b in nu)
     d, heights = permutations.config_from_decorated(word, deco)
     assert permutations.stabilize(word, deco) == (word, deco)
     for _ in range(2):

@@ -270,7 +270,8 @@ def test_minimal_recurrent_requires_recurrent(d321):
 def test_canonical_bounds(d321):
     # nu of the minimal recurrent (0,0,1,0,2); vertex 2 can carry one extra
     # grain and stay in the same avalanche class, the rest cannot
-    assert sandpile.canonical_bounds(d321, (0, 0, 1, 0, 2)) == (1, 2, 1, 1, 1)
+    blocks = sandpile.canonical_toppling(d321, (0, 0, 1, 0, 2))
+    assert sandpile.canonical_bounds_from_blocks(blocks) == (1, 2, 1, 1, 1)
 
 
 @given(st.integers(0, 2 ** 30))
@@ -296,7 +297,6 @@ HEIGHT_ENTRIES = [
     (sandpile, "canonical_toppling"),
     (sandpile, "level"),
     (sandpile, "minimal_recurrent"),
-    (sandpile, "canonical_bounds"),
     (sandpile, "decompose"),
     (tableaux, "decorated_from_config"),
     (permutations, "decorated_from_config"),
@@ -306,7 +306,6 @@ STABILITY_NEEDED = {
     "burning_order": "burning test needs a stable configuration",
     "canonical_toppling": "canonical toppling needs a stable configuration",
     "minimal_recurrent": "canonical toppling needs a stable configuration",
-    "canonical_bounds": "canonical toppling needs a stable configuration",
     "decompose": "canonical toppling needs a stable configuration",
     "decorated_from_config": "canonical toppling needs a stable configuration",
 }
@@ -450,11 +449,12 @@ def test_avalanche_matches_edge_loop_on_random_words(n):
     rng = random.Random(n)
     for _ in range(3):
         word = tuple(rng.sample(range(1, n + 1), n))
-        deco = tuple(rng.randrange(b) for b in permutations.canonical_bounds(word))
+        blocks = permutations.run_blocks(word)
+        deco = tuple(rng.randrange(b) for b in sandpile.canonical_bounds_from_blocks(blocks))
         d, heights = permutations.config_from_decorated(word, deco)
-        assert avalanche_against_reference(d, heights) == permutations.run_blocks(word)
+        assert avalanche_against_reference(d, heights) == blocks
         # below a minimal configuration the avalanche stalls
-        low = list(permutations.minimal_config(word))
+        low = list(sandpile.minimal_from_blocks(blocks))
         low[rng.choice([v for v, h in enumerate(low) if h])] -= 1
         assert avalanche_against_reference(d, low) is None
         # random grains taken away: a stall or not, both loops must agree

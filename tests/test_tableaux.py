@@ -285,8 +285,8 @@ def test_toppling_scan_runs_once_per_tableau(monkeypatch, d5332):
     t = EWTableau(d5332, ((1, 1, 1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 1)))
     tableaux.canonical_bounds(t)
     tableaux.supplementary(t)
-    tableaux.stable_bounds(t)
-    tableaux.classify_decoration(t, (0,) * d5332.n)
+    sandpile.stable_bounds_from_blocks(tableaux.canonical_toppling(t))
+    sandpile.classify_decoration(tableaux.canonical_toppling(t), (0,) * d5332.n)
     permutations.from_tableau(t)
     assert tableaux.canonical_toppling(t) == (
         (0,), (1, 2, 8), (4, 6), (5,), (3,), (7,))
@@ -414,8 +414,9 @@ def test_canonical_bounds_three_carriers_beyond_enumeration(d):
     for c in recurrent_configs(d, seed=d.n, count=8):
         t, deco = tableaux.decorated_from_config(d, c)
         nu = tableaux.canonical_bounds(t)
-        assert nu == sandpile.canonical_bounds(d, c)
-        assert nu == permutations.canonical_bounds(permutations.from_tableau(t))
+        assert nu == sandpile.canonical_bounds_from_blocks(sandpile.canonical_toppling(d, c))
+        runs = permutations.run_blocks(permutations.from_tableau(t))
+        assert nu == sandpile.canonical_bounds_from_blocks(runs)
         assert all(a < b for a, b in zip(deco, nu))
 
 
@@ -429,7 +430,7 @@ def test_bounds_properties():
         for d in enumerate_diagrams(m):
             for t in oracles.enumerate_tableaux(d):
                 nu = tableaux.canonical_bounds(t)
-                sb = tableaux.stable_bounds(t)
+                sb = sandpile.stable_bounds_from_blocks(tableaux.canonical_toppling(t))
                 assert all(v >= 1 for v in nu)
                 assert all(a <= b for a, b in zip(nu, sb))
                 # minimal config plus stable headroom fills every degree
@@ -439,19 +440,20 @@ def test_bounds_properties():
 
 def test_classify_decoration(d321):
     b = tab((3, 2, 1), "111", "01", "0")
+    blocks = tableaux.canonical_toppling(b)
     assert tableaux.canonical_bounds(b) == (1, 1, 1, 1, 1)
-    assert tableaux.stable_bounds(b) == (1, 1, 2, 1, 1)
-    assert tableaux.classify_decoration(b, (0, 0, 0, 0, 0)) == "canonical"
-    assert tableaux.classify_decoration(b, (0, 0, 1, 0, 0)) == "stable"
-    assert tableaux.classify_decoration(b, (0, 0, 2, 0, 0)) == "invalid"
-    assert tableaux.classify_decoration(b, (1, 0, 0, 0, 0)) == "invalid"
+    assert sandpile.stable_bounds_from_blocks(blocks) == (1, 1, 2, 1, 1)
+    assert sandpile.classify_decoration(blocks, (0, 0, 0, 0, 0)) == "canonical"
+    assert sandpile.classify_decoration(blocks, (0, 0, 1, 0, 0)) == "stable"
+    assert sandpile.classify_decoration(blocks, (0, 0, 2, 0, 0)) == "invalid"
+    assert sandpile.classify_decoration(blocks, (1, 0, 0, 0, 0)) == "invalid"
 
 
 def test_decorated_from_config(d321):
     t, a = tableaux.decorated_from_config(d321, (0, 1, 1, 0, 2))
     assert t.rows == ((1, 1, 1), (0, 0), (0,))
     assert a == (0, 1, 0, 0, 0)
-    assert tableaux.classify_decoration(t, a) == "canonical"
+    assert sandpile.classify_decoration(tableaux.canonical_toppling(t), a) == "canonical"
 
 
 def test_config_from_decorated_round_trip():
@@ -459,7 +461,8 @@ def test_config_from_decorated_round_trip():
         for d in enumerate_diagrams(m):
             for c in oracles.enumerate_recurrent(d):
                 t, a = tableaux.decorated_from_config(d, c)
-                assert tableaux.classify_decoration(t, a) == "canonical"
+                blocks = tableaux.canonical_toppling(t)
+                assert sandpile.classify_decoration(blocks, a) == "canonical"
                 assert tableaux.config_from_decorated(t, a) == c
 
 
@@ -689,6 +692,6 @@ def test_tableau_route_at_n_2000_within_its_budget():
     t = permutations.to_tableau(word)
     bounds = tableaux.canonical_bounds(t)
     elapsed = time.perf_counter() - start
-    assert bounds == permutations.canonical_bounds(word)
+    assert bounds == sandpile.canonical_bounds_from_blocks(permutations.run_blocks(word))
     assert permutations.from_tableau(t) == tuple(word)
     assert elapsed < 20, "to_tableau plus canonical_bounds took %.2fs" % elapsed

@@ -34,6 +34,14 @@ def test_check_tree_rejects():
         trees.check_tree((None, 5))  # out of range
 
 
+@pytest.mark.parametrize("parent", [True, 1.0])
+def test_check_tree_rejects_a_parent_that_is_not_an_int(parent):
+    # bool is a subclass of int, but True is no more a vertex than 1.0
+    with pytest.raises(DomainError) as e:
+        trees.check_tree((None, 0, parent))
+    assert str(e.value) == "vertex 2 has invalid parent %r" % (parent,)
+
+
 def test_is_intransitive():
     assert trees.is_intransitive(REF_TREE)
     assert trees.is_intransitive((None, 0))
@@ -67,7 +75,8 @@ def test_tree_to_perm_worked_example():
 
 def test_perm_to_tree_requires_canonical():
     # letter 6 has exactly one possible parent, so decoration 1 is too big
-    assert permutations.canonical_bounds(REF_WORD)[5] == 1
+    blocks = permutations.run_blocks(REF_WORD)
+    assert sandpile.canonical_bounds_from_blocks(blocks)[5] == 1
     with pytest.raises(DomainError):
         trees.perm_to_tree(REF_WORD, (1, 0, 1, 1, 1, 1, 2, 1, 0))
 
