@@ -357,17 +357,37 @@ def _cmd_certify(args, out):
     return 4 if failures else 0
 
 
+class _OutFile:
+    """--out FILE, opened on the first write, so that a request refused
+    before it writes anything leaves an existing FILE as it was."""
+
+    def __init__(self, path):
+        self.path = path
+        self.file = None
+
+    def write(self, text):
+        if self.file is None:
+            try:
+                self.file = open(self.path, "w")
+            except OSError as e:
+                raise FormatError(
+                    "cannot write %s: %s" % (self.path, e.strerror)
+                ) from None
+        self.file.write(text)
+
+    def flush(self):  # a request that wrote nothing still makes FILE
+        self.write("")
+        self.file.flush()
+
+    def close(self):
+        if self.file is not None:
+            self.file.close()
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    stream = sys.stdout
-    if args.out:
-        try:
-            stream = open(args.out, "w")
-        except OSError as e:
-            print("error: cannot write %s: %s" % (args.out, e.strerror),
-                  file=sys.stderr)
-            return 2
+    stream = _OutFile(args.out) if args.out else sys.stdout
     try:
         tree_out = args.command == "convert" and args.dst == "tree"
         if args.format == "dot" and not tree_out:

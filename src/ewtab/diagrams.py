@@ -139,7 +139,7 @@ class FerrersDiagram:
         return tuple(out)
 
     def _vertex(self, v):
-        if isinstance(v, int) and 0 <= v <= self.n:
+        if type(v) is int and 0 <= v <= self.n:
             return v
         raise DomainError("%r is not a vertex of %r" % (v, self.parts))
 

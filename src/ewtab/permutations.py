@@ -39,7 +39,7 @@ __all__ = [
 def _check_word(word):
     word = tuple(int(x) for x in word)
     if not word or sorted(word) != list(range(1, len(word) + 1)):
-        raise DomainError("%r is not a permutation of 1..n" % (word,))
+        raise DomainError("%r is not a permutation of 1..%d" % (word, len(word)))
     return word
 
 

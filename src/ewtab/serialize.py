@@ -3,8 +3,13 @@
 Every emitter here has a parser that accepts its output. JSON payloads are
 detected by a leading brace; everything else is treated as the plain text
 form. Structural problems (unparseable text, wrong field types) raise
-FormatError; objects that parse but violate a definition are left for the
-library functions to reject.
+FormatError. So does, in every form, an object that cannot be built from
+its fields, such as rows that are not a Ferrers shape or letters that are
+not a permutation of 1..n. Each carrier has one builder, the library makes
+each definition check, and `_build` is the one place where the library's
+DomainError becomes a FormatError. An object that builds but is not what a
+command needs (a tableau that is not EW, a configuration that is not
+recurrent) is left for the library functions to reject.
 """
 
 import json
@@ -78,20 +83,12 @@ def _count(values, n, what):
 
 
 def _build(fn, *args):
-    """Constructing an object from parsed pieces can still fail (bad shape,
-    rows that do not fit); surface that as a format problem."""
+    """fn(*args), with the library's DomainError raised as a FormatError:
+    the one place where a refused definition becomes malformed input."""
     try:
         return fn(*args)
     except DomainError as e:
         raise FormatError(str(e)) from None
-
-
-def _check_perm(word):
-    if sorted(word) != list(range(1, len(word) + 1)):
-        raise FormatError(
-            "%r is not a permutation of 1..%d" % (word, len(word))
-        )
-    return word
 
 
 # -- shapes -----------------------------------------------------------------
@@ -146,14 +143,18 @@ def config_to_json(diagram, heights):
 
 # -- tableaux ---------------------------------------------------------------
 
-def _rows_to_diagram(rows):
-    return FerrersDiagram([len(r) for r in rows])
-
-
 def _parse_bits(text):
     if not text or any(ch not in "01" for ch in text):
         raise FormatError("%r is not a row of 0s and 1s" % text)
     return tuple(int(ch) for ch in text)
+
+
+def _tableau(rows, parts=None):
+    """The tableau of rows read by _parse_bits, on the declared parts or
+    else on the row lengths: every form of a tableau is built here."""
+    if parts is None:
+        parts = [len(r) for r in rows]
+    return _build(EWTableau, _build(FerrersDiagram, parts), rows)
 
 
 def parse_tableau(data):
@@ -167,23 +168,18 @@ def parse_tableau(data):
         if not isinstance(rows, list) or any(type(r) is not str for r in rows):
             raise FormatError("'rows' must be a list of 0/1 strings")
         rows = [_parse_bits(r) for r in rows]
-        if "shape" in obj:
-            d = _build(FerrersDiagram, _int_list(obj["shape"], "shape"))
-            if tuple(len(r) for r in rows) != d.parts:
-                raise FormatError("rows do not fit the declared shape")
-        else:
-            d = _rows_to_diagram(rows)
+        parts = _int_list(obj["shape"], "shape") if "shape" in obj else None
+        t = _tableau(rows, parts)
         deco = obj.get("decorations")
         if deco is not None:
-            deco = _count(_int_list(deco, "decorations"), d.n, "decorations")
-        return _build(EWTableau, d, rows), deco
+            deco = _count(_int_list(deco, "decorations"), t.diagram.n, "decorations")
+        return t, deco
     text = data.strip()
     if "\n" in text:
         return _parse_tableau_pretty(text)
     text, caret, tail = text.partition("^")
     deco = _split_ints(tail, "decorations") if caret else None
-    rows = [_parse_bits(part) for part in text.strip().split("/")]
-    t = _build(EWTableau, _build(_rows_to_diagram, rows), rows)
+    t = _tableau([_parse_bits(part) for part in text.strip().split("/")])
     if deco is not None:
         deco = _count(deco, t.diagram.n, "decorations")
     return t, deco
@@ -200,8 +196,8 @@ def _parse_tableau_pretty(text):
         bits, _, tail = ln.partition("^")
         rows.append(_parse_bits(bits.strip()))
         row_decos.append(_int(tail, "row decoration") if tail.strip() else None)
-    d = _build(_rows_to_diagram, rows)
-    t = _build(EWTableau, d, rows)
+    t = _tableau(rows)
+    d = t.diagram
     any_deco = col_line is not None or any(a is not None for a in row_decos[1:])
     if not any_deco:
         return t, None
@@ -258,7 +254,8 @@ def parse_perm(data):
         obj = _load_json(data)
         if "perm" not in obj:
             raise FormatError("permutation object needs a 'perm' field")
-        word = _check_perm(tuple(_int_list(obj["perm"], "perm")))
+        word = tuple(_int_list(obj["perm"], "perm"))
+        _build(permutations.run_blocks, word)
         deco = obj.get("decorations")
         if deco is None:
             return word, (0,) * len(word)
@@ -275,7 +272,8 @@ def parse_perm(data):
         word = tuple(int(ch) for ch in tokens[0])
     else:
         word = tuple(_split_ints(text, "permutation"))
-    return _check_perm(word), (0,) * len(word)
+    _build(permutations.run_blocks, word)
+    return word, (0,) * len(word)
 
 
 def _parse_perm_blocks(text):
@@ -294,10 +292,7 @@ def _parse_perm_blocks(text):
         word.extend(x for x, _ in block)
         pairs.append(block)
     word = tuple(word)
-    try:
-        blocks = permutations.run_blocks(word)
-    except DomainError as e:
-        raise FormatError(str(e)) from None
+    blocks = _build(permutations.run_blocks, word)
     given = tuple(tuple(sorted(x for x, _ in block)) for block in pairs)
     if given != blocks[1:]:
         raise FormatError("blocks do not match the runs of %r" % (word,))

@@ -448,6 +448,19 @@ def test_out_flag_reports_a_file_it_cannot_write(capsys, tmp_path, where, code):
         2, "", "error: cannot write %s: %s\n" % (target, os.strerror(code)))
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "--shape", "2,1", "--format", "dot"],
+    ["convert", "--from", "perm", "--to", "tree", "--data", "1 1"],
+], ids=["dot-not-a-tree", "not-a-permutation"])
+def test_out_flag_leaves_the_file_of_a_refused_request_as_it_was(capsys, tmp_path, argv):
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert target.read_text() == "kept\n"
+
+
 def test_broken_pipe_ends_quietly():
     # 128,000 lines, more than a pipe buffer holds: the writer is still
     # writing when the reader goes away
@@ -525,6 +538,26 @@ def test_convert_every_pair_beyond_oracle_budget(capsys, staircase_objects,
     assert code == 0, err
     assert out.endswith("\n") and out.count("\n") == 1
     assert _parse_back(dst, out, staircase_objects) == staircase_objects[dst]
+
+
+@pytest.mark.parametrize("src, data", [
+    # rows that are not a Ferrers shape, in each tableau form
+    ("tableau", "1/11"),
+    ("tableau", "1\n11"),
+    ("tableau", '{"rows": ["1", "11"]}'),
+    ("tableau", '{"rows": []}'),
+    # repeated letters, in each word form
+    ("perm", "1 1"),
+    ("perm", "11"),
+    ("perm", "1^0 1^0"),
+    ("perm", '{"perm": [1, 1]}'),
+    ("perm", '{"perm": []}'),
+])
+def test_every_form_of_a_malformed_object_exits_2(capsys, src, data):
+    code, out, err = run(capsys, "convert", "--from", src, "--to", "perm",
+                         "--data", data)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

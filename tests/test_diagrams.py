@@ -85,7 +85,7 @@ def test_adjacency_is_lazy_and_follows_cells():
                 assert d.degree(v) == len(nbrs)
 
 
-@pytest.mark.parametrize("v", [-1, 9, "1", None, 1.5])
+@pytest.mark.parametrize("v", [-1, 9, "1", None, 1.5, True, False])
 def test_non_vertices_raise(v):
     d = FerrersDiagram((5, 3, 3, 2))
     with pytest.raises(DomainError):
