@@ -81,24 +81,31 @@ class FerrersDiagram:
         # Entry ri is the mask of the column positions of row position ri.
         return tuple((1 << p) - 1 for p in self.parts)
 
+    # A dict lookup matches by equality, which would let True and 1.0 find
+    # label 1, so each lookup first takes only an int, as _vertex does.
+
     def is_row(self, v):
-        return v in self._row_index
+        return type(v) is int and v in self._row_index
 
     def is_col(self, v):
-        return v in self._col_index
+        return type(v) is int and v in self._col_index
 
     def row_index(self, v):
-        try:
-            return self._row_index[v]
-        except KeyError:
-            raise DomainError("%r is not a row label of %r" % (v, self.parts)) from None
+        if type(v) is int:
+            try:
+                return self._row_index[v]
+            except KeyError:
+                pass
+        raise DomainError("%r is not a row label of %r" % (v, self.parts))
 
     def col_index(self, v):
         """Left-to-right position of the column labeled v."""
-        try:
-            return self._col_index[v]
-        except KeyError:
-            raise DomainError("%r is not a column label of %r" % (v, self.parts)) from None
+        if type(v) is int:
+            try:
+                return self._col_index[v]
+            except KeyError:
+                pass
+        raise DomainError("%r is not a column label of %r" % (v, self.parts))
 
     def col_height(self, x):
         """Number of rows long enough to reach column position x: the row

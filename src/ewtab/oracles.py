@@ -303,10 +303,20 @@ def _bounds_agreement(s):
 
 
 def _cornersupport_dual(s):
-    """The two corner-support routes agree."""
-    for t in s.tabs:
-        if tableaux.corner_support(t, "blocks") != tableaux.corner_support(t, "local"):
+    """The two corner-support routes agree, and the paper's bounds read off
+    the local route (a row's 0s and a column's 1s outside the support) are
+    the canonical bounds."""
+    edges = s.d.edges()
+    for t, nu in zip(s.tabs, s.nus):
+        local = tableaux.corner_support(t, "local")
+        if tableaux.corner_support(t, "blocks") != local:
             yield t.row_strings()
+        bounds = [0] * (s.d.n + 1)
+        for i, j in edges:
+            if (i, j) not in local:
+                bounds[j if t.entry(i, j) else i] += 1
+        if tuple(bounds[1:]) != nu:
+            yield "bounds", t.row_strings()
 
 
 def _supplementary_direct(s):

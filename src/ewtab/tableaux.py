@@ -58,7 +58,7 @@ class EWTableau:
     fits the shape; use validate()/ensure_valid() for the EW conditions.
     The filling never changes: each tableau keeps one mask per row (bit x
     for column position x) and, once first needed, the rows, its toppling
-    scan, its supplementary rows and its EW check.
+    scan and its EW check.
     """
 
     def __init__(self, diagram, rows):
@@ -94,10 +94,6 @@ class EWTableau:
     @cached_property
     def _blocks(self):
         return _toppling_scan(self)
-
-    @cached_property
-    def _supplementary(self):
-        return _suffix_unions(self.diagram, self._blocks)
 
     @cached_property
     def _first_problem(self):
@@ -288,8 +284,9 @@ class Supplementary:
 
 def supplementary(t):
     """Build the supplementary grid from the canonical toppling blocks."""
-    width = t.diagram.parts[0]
-    return Supplementary(t.diagram, [_entries(g, width) for g in t._supplementary])
+    d = t.diagram
+    grid = _suffix_unions(d, t._blocks)
+    return Supplementary(d, [_entries(g, d.parts[0]) for g in grid])
 
 
 def supplementary_entry(t, i, j):
@@ -313,55 +310,29 @@ def supplementary_entry(t, i, j):
     return 1
 
 
-def _corner_masks(t):
-    """Per row position, the mask (bit x for column position x) of its
-    cells in corner support.
-
-    A cell (i, j) holding 1 is witnessed by a row i2 with a 1 at j and a
-    column j2 where row i has 1 and row i2 has 0; a cell holding 0 by a row
-    i2 with a 0 at j and a column j2 where row i2 has 1 and row i has 0.
-    Such a j2 differs from j by construction, so with one 1-mask per row
-    of the supplementary grid each ordered row pair costs a few word
-    operations. The pair of a row with itself, or with an identical row,
-    witnesses nothing, so the pairs run over the distinct rows of the grid
-    (all rows of one block share one), and each row keeps the witnesses of
-    its grid row that lie in its shape.
-    """
-    cells = t.diagram._cells
-    full = cells[0]
-    # Cells of the shape read the tableau, the rest the grid built from
-    # the avalanche; on an EW-tableau the grid restricts to the tableau.
-    ones = [r | g & ~m for r, g, m in zip(t._masks, t._supplementary, cells)]
-    distinct = dict.fromkeys(ones, 0)
-    pairs = [(b, ~b) for b in distinct]
-    for a in distinct:
-        not_a = ~a
-        zeros = full & not_a
-        w = 0
-        for b, not_b in pairs:
-            if a & not_b:
-                w |= a & b
-            if b & not_a:
-                w |= zeros & not_b
-        distinct[a] = w
-    return [distinct[a] & m for a, m in zip(ones, cells)]
-
-
 def corner_support(t, method="blocks"):
     """Cells of the shape whose entry is witnessed by a complementary entry
     at the opposite corner of some rectangle in the supplementary grid (the
     two remaining corners matching the cell's value). Returns the set of
     (row label, column label) pairs.
 
-    method="blocks" compares whole rows of the supplementary grid built
-    from the canonical toppling, as bitmasks; method="local" uses only
+    method="blocks" reads the support off the canonical blocks: a cell is
+    in it exactly when its row's block and its column's block are not
+    adjacent. The toppling scan completes exactly on EW-tableaux, and its
+    blocks give back the tableau cell by cell (1 exactly when the row's
+    block comes first). A row in block k has as its supplementary row S_k,
+    the columns of the blocks after k, and S_k strictly shrinks as k grows.
+    A 1 at column j is witnessed by a row of a later row block whose S
+    still holds j, which exists exactly when j's block is k + 3 or later; a
+    0 by a row of an earlier row block whose S misses j, which exists
+    exactly when j's block is k - 3 or earlier. method="local" uses only
     tableau entries plus the local rule of supplementary_entry, never
     toppling anything. The two agree.
     """
     d = t.diagram
     if method == "blocks":
-        witnessed = zip(d.row_labels, _corner_masks(t))
-        return {(i, d.col_labels[x]) for i, w in witnessed for x in _bits(w)}
+        block_of = {v: k for k, block in enumerate(t._blocks) for v in block}
+        return {(i, j) for i, j in d.edges() if abs(block_of[i] - block_of[j]) != 1}
     if method != "local":
         raise ValueError("method must be 'blocks' or 'local'")
 
@@ -391,17 +362,12 @@ def corner_support(t, method="blocks"):
 def canonical_bounds(t):
     """Per-vertex decoration bounds that keep the canonical toppling intact:
     for a row, its count of 0s not in corner_support; for a column, its
-    count of 1s not in corner_support. Entry v-1 for vertex v."""
-    d = t.diagram
-    witnessed = _corner_masks(t)
-    out = [0] * d.n
-    for i, r, w, m in zip(d.row_labels, t._masks, witnessed, d._cells):
-        if i:
-            out[i - 1] = (m & ~r & ~w).bit_count()
-    unwitnessed = [r & ~w for r, w in zip(t._masks, witnessed)]
-    for j, count in zip(d.col_labels, _column_counts(unwitnessed, d.parts[0])):
-        out[j - 1] = count
-    return tuple(out)
+    count of 1s not in corner_support. Those are the cells between adjacent
+    blocks (see corner_support), so each bound is the vertex's count of
+    neighbours in the block just before its own, which is
+    sandpile.canonical_bounds_from_blocks of the tableau's blocks. Entry
+    v-1 for vertex v."""
+    return sandpile.canonical_bounds_from_blocks(t._blocks)
 
 
 def decorated_from_config(diagram, heights):

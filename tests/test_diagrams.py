@@ -85,13 +85,20 @@ def test_adjacency_is_lazy_and_follows_cells():
                 assert d.degree(v) == len(nbrs)
 
 
-@pytest.mark.parametrize("v", [-1, 9, "1", None, 1.5, True, False])
+@pytest.mark.parametrize("v", [-1, 9, "1", None, 1.5, True, False, 1.0])
 def test_non_vertices_raise(v):
     d = FerrersDiagram((5, 3, 3, 2))
     with pytest.raises(DomainError):
         d.degree(v)
     with pytest.raises(DomainError):
         d.neighbors(v)
+    # nor are they labels, although True, False and 1.0 equal labels 1 and 0
+    assert not d.is_row(v) and not d.is_col(v)
+    assert not d.cell_exists(v, 8) and not d.cell_exists(0, v)
+    with pytest.raises(DomainError, match="is not a row label of "):
+        d.row_index(v)
+    with pytest.raises(DomainError, match="is not a column label of "):
+        d.col_index(v)
 
 
 def test_edges_listing():

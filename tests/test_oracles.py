@@ -257,6 +257,22 @@ def test_certify_counterexample_property_can_fail(
     assert {"name": name, "pass": False, "counterexample": counterexample} in rep["properties"]
 
 
+def test_cornersupport_dual_checks_the_bounds(monkeypatch):
+    # canonical_bounds reads the block core, so bounds-agreement compares
+    # the block core with itself; cornersupport-dual counts the bounds on
+    # the local corner support instead
+    bounds = tableaux.canonical_bounds
+
+    def lowered(t):
+        nu = bounds(t)
+        return nu[:-1] + (nu[-1] - 1,) if nu[-1] > 1 else nu
+
+    monkeypatch.setattr(tableaux, "canonical_bounds", lowered)
+    rep = oracles.certify_shape(FerrersDiagram((3, 3, 3)))
+    assert {"name": "cornersupport-dual", "pass": False,
+            "counterexample": ("bounds", ("111", "100", "100"))} in rep["properties"]
+
+
 def _passing(name):
     return {"name": name, "pass": True, "counterexample": None}
 

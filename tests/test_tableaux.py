@@ -132,6 +132,11 @@ def test_entry_by_labels(t_ex, d5332):
     assert t_ex.entry(3, 7) == 1
     assert t_ex.entry(3, 5) == 0
     assert t_ex.entry(0, 1) == 1
+    # labels are ints: False and True equal the labels 0 and 1 of a cell
+    with pytest.raises(DomainError, match="is not a row label of "):
+        t_ex.entry(False, True)
+    with pytest.raises(DomainError, match="is not a column label of "):
+        t_ex.entry(0, 1.0)
 
 
 def test_validate_top_row():
@@ -327,6 +332,9 @@ def test_supplementary_direct_rule():
 def test_supplementary_entry_requires_off_diagonal(t_ex):
     with pytest.raises(DomainError):
         tableaux.supplementary_entry(t_ex, 3, 5)  # 3 < 5 is an actual cell
+    for i, j in ((4.0, 1), (4, True)):  # equal to the labels 4 and 1
+        with pytest.raises(DomainError, match="is not a row/column pair"):
+            tableaux.supplementary_entry(t_ex, i, j)
 
 
 def test_supplementary_direct_matches_blocks():
@@ -594,13 +602,19 @@ def assert_layer_matches_reference(d, rows):
     """The tableau layer on a fresh tableau of these rows against the
     references: validate's problems in order, the scan's blocks or error
     text, and where the scan succeeds the bounds, the blocks corner
-    support, the supplementary grid and the tableau of the blocks."""
+    support, the supplementary grid and the tableau of the blocks. The
+    blocks route of corner support and the bounds read the scan's blocks,
+    which is exact only because the scan refuses exactly the fillings
+    validate does, and they refuse them with its text."""
     t = EWTableau(d, rows)
     assert tableaux.validate(t) == reference_validate(t), (d.parts, rows)
     blocks = toppling_or_error(tableaux.canonical_toppling, t)
     assert blocks == toppling_or_error(reference_toppling_scan, t), (d.parts, rows)
     assert EWTableau(d, rows) == t and hash(EWTableau(d, rows)) == hash(t)
+    assert isinstance(blocks, str) == bool(tableaux.validate(t)), (d.parts, rows)
     if isinstance(blocks, str):
+        for read in (tableaux.canonical_bounds, tableaux.corner_support):
+            assert toppling_or_error(read, EWTableau(d, rows)) == blocks, (d.parts, rows)
         return
     t = EWTableau(d, rows)  # nothing kept from the scan above
     assert tableaux.canonical_bounds(t) == reference_canonical_bounds(t)
