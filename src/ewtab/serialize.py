@@ -62,8 +62,11 @@ def _int_list(values, what):
 
 
 def _split_ints(text, what):
+    """The integers of text, separated by commas or whitespace. A field
+    between commas that holds no number reads as "", which int() refuses."""
+    fields = text.split(",") if text.strip() else []
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(tok) for field in fields for tok in field.split() or [""]]
     except ValueError:
         raise FormatError("cannot read %s from %r" % (what, text)) from None
 
@@ -144,14 +147,16 @@ def config_to_json(diagram, heights):
 # -- tableaux ---------------------------------------------------------------
 
 def _parse_bits(text):
-    if not text or any(ch not in "01" for ch in text):
+    """text, when it is a nonempty row of 0s and 1s."""
+    if not text or not text.isascii() or text.encode().translate(None, b"01"):
         raise FormatError("%r is not a row of 0s and 1s" % text)
-    return tuple(int(ch) for ch in text)
+    return text
 
 
 def _tableau(rows, parts=None):
-    """The tableau of rows read by _parse_bits, on the declared parts or
-    else on the row lengths: every form of a tableau is built here."""
+    """The tableau of the row strings checked by _parse_bits, on the
+    declared parts or else on the row lengths: every form of a tableau is
+    built here."""
     if parts is None:
         parts = [len(r) for r in rows]
     return _build(EWTableau, _build(FerrersDiagram, parts), rows)

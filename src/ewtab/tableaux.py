@@ -36,48 +36,51 @@ __all__ = [
     "config_from_decorated",
 ]
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+def _digits(row):
+    """A sequence of 0/1 ints as a string of 0s and 1s."""
+    row = tuple(map(int, row))
+    if not {0, 1}.issuperset(row):
+        raise DomainError("entries must be 0 or 1")
+    return "".join(map(str, row))
 
 
-def _mask(row):
-    """Int with bit x set exactly where the 0/1 entry row[x] is 1."""
-    return int(bytes(row[::-1]).translate(_DIGITS), 2)
-
-
-def _entries(mask, width):
-    """The 0/1 entries of positions 0..width-1 of mask, as a tuple."""
-    return tuple(format(mask, "0%db" % width)[::-1].encode().translate(_BITS))
+def _row_string(mask, width):
+    """Positions 0..width-1 of mask as a string of 0s and 1s, left to right
+    (a 1 above them keeps the leading 0s)."""
+    return bin(mask | 1 << width)[:2:-1]
 
 
 class EWTableau:
     """A 0/1 filling of a Ferrers shape.
 
     `rows[i][x]` is the entry of the i-th row (top to bottom) at column
-    position x (left to right). Construction checks only that the filling
-    fits the shape; use validate()/ensure_valid() for the EW conditions.
-    The filling never changes: each tableau keeps one mask per row (bit x
-    for column position x) and, once first needed, the rows, its toppling
-    scan and its EW check.
+    position x (left to right). Each row is given as a string of 0s and 1s
+    or as a sequence of 0/1 ints, and is read in base 2 once its entries
+    are checked, since int() would also read "1_0" or " +10 ". Construction
+    checks only that the filling fits the shape; use
+    validate()/ensure_valid() for the EW conditions. The filling never
+    changes: each tableau keeps one mask per row (bit x for column position
+    x) and, once first needed, the rows and its toppling scan.
     """
 
     def __init__(self, diagram, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = [row if isinstance(row, str) else _digits(row) for row in rows]
         parts = diagram.parts
         if len(rows) != len(parts):
             raise DomainError("expected %d rows, got %d" % (len(parts), len(rows)))
         for i, (row, p) in enumerate(zip(rows, parts)):
             if len(row) != p:
                 raise DomainError("row %d must have %d entries, got %d" % (i, p, len(row)))
-            if not {0, 1}.issuperset(row):
-                raise DomainError("entries must be 0 or 1")
+        text = "".join(rows)
+        if not text.isascii() or text.encode().translate(None, b"01"):
+            raise DomainError("entries must be 0 or 1")
         self.diagram = diagram
-        self.rows = rows
-        self._masks = tuple(map(_mask, rows))
+        self._masks = tuple(int(row[::-1], 2) for row in rows)
 
     @cached_property
-    def rows(self):  # read from the masks, for tableaux built by from_blocks
-        return tuple(map(_entries, self._masks, self.diagram.parts))
+    def rows(self):
+        return tuple(tuple(map(int, row)) for row in self.row_strings())
 
     def entry(self, i, j):
         """Entry at row label i, column label j (the labels, not positions)."""
@@ -88,16 +91,11 @@ class EWTableau:
         return self._masks[ri] >> x & 1
 
     def row_strings(self):
-        parts = self.diagram.parts
-        return tuple(format(m, "0%db" % p)[::-1] for m, p in zip(self._masks, parts))
+        return tuple(map(_row_string, self._masks, self.diagram.parts))
 
     @cached_property
     def _blocks(self):
         return _toppling_scan(self)
-
-    @cached_property
-    def _first_problem(self):
-        return next(_violations(self), None)
 
     def __eq__(self, other):
         return isinstance(other, EWTableau) and (self.diagram, self._masks) == (
@@ -110,6 +108,16 @@ class EWTableau:
         return "EWTableau(%r, %r)" % (self.diagram.parts, "/".join(self.row_strings()))
 
 
+def _scan_completes(t):
+    """Whether the toppling scan of t completes, which it does exactly on
+    EW-tableaux (see ensure_valid)."""
+    try:
+        t._blocks
+    except DomainError:
+        return False
+    return True
+
+
 def validate(t):
     """Structured report of every EW-condition violation; empty means valid.
 
@@ -119,10 +127,12 @@ def validate(t):
       rectangle        no four-cell rectangle has 0s on one diagonal and 1s
                        on the other
 
-    On an invalid filling the rectangles alone can number about width**4;
-    ensure_valid stops at the first entry instead.
+    The toppling scan decides (see ensure_valid), so an EW-tableau checks
+    no rule; only a refused filling is run through the rules. There the
+    rectangles alone can number about width**4; ensure_valid stops at the
+    first entry instead.
     """
-    return list(_violations(t))
+    return [] if _scan_completes(t) else list(_violations(t))
 
 
 def _violations(t):
@@ -153,10 +163,29 @@ def _violations(t):
 
 def ensure_valid(t):
     """Return t if it is an EW-tableau; otherwise raise DomainError naming
-    its first violation, validate(t)[0]. The check stops at that first
-    violation and runs once per tableau."""
-    problem = t._first_problem
-    if problem is not None:
+    its first violation, validate(t)[0].
+
+    The toppling scan decides, once per tableau; the rules run only to name
+    the problem of a refused filling. The scan completes exactly on
+    EW-tableaux. If it completes, every cell matches its blocks: a 1 at
+    (i, j) keeps column j waiting until row i is recorded and a 0 keeps row
+    i waiting until column j is, so the cell is 1 exactly when the row's
+    block comes first, and the filling is from_blocks of the scan's blocks,
+    which has no bad rectangle (see from_blocks). blocks[0] == (0,) then
+    puts the top row before every column, so it is all 1s, and keeps every
+    other row out of the first round, so it has a 0. Conversely, if the
+    first block is not (0,), the top row has a 0 or another row is all 1s.
+    If the scan stalls, each waiting row has a 0 in a waiting column and
+    each waiting column a 1 in a waiting row, so those cells close a cycle
+    of rows and columns. The longest row on a shortest such cycle has a
+    cell in each of its columns, and a cell in a third column would close a
+    shorter cycle, so the cycle has two rows and two columns: a bad
+    rectangle.
+    """
+    if not _scan_completes(t):
+        problem = next(_violations(t), None)
+        if problem is None:
+            raise RuntimeError("the toppling scan refused a filling that breaks no EW rule")
         raise DomainError("not an EW-tableau: %r" % (problem,))
     return t
 
@@ -198,13 +227,28 @@ def _suffix_unions(diagram, blocks):
 
 
 def from_blocks(diagram, blocks):
-    """The EW-tableau of an ordered partition of the labels: cell (i, j) is
-    1 exactly when row i's block precedes column j's block. Raises
-    DomainError when the filling breaks an EW condition."""
-    t = EWTableau.__new__(EWTableau)  # its rows are built from the masks when read
-    t.diagram = diagram
-    t._masks = tuple(map(int.__and__, _suffix_unions(diagram, blocks), diagram._cells))
-    return ensure_valid(t)
+    """The EW-tableau of an ordered partition of the labels 0..n: cell (i, j)
+    is 1 exactly when row i's block precedes column j's block. Raises
+    DomainError when the blocks do not partition the labels or the filling
+    breaks an EW condition.
+
+    No ordered partition gives a bad rectangle. With b(v) the block of v,
+    one on rows i, i2 and columns x, x2 would need b(i) < b(x) <= b(i2) <
+    b(x2) <= b(i) or b(x) <= b(i) < b(x2) <= b(i2) < b(x), both cycles. So
+    only top-row-ones and row-has-zero can fail, each a compare of a row's
+    mask with its cells. A refused filling goes to ensure_valid, whose scan
+    refuses it too; the problem it names, validate's first entry, is one of
+    those two, since validate lists them before any rectangle.
+    """
+    labels = [v for block in blocks for v in block]
+    if len(labels) != diagram.n + 1 or set(labels) != set(range(diagram.n + 1)):
+        raise DomainError("blocks do not partition the labels 0..%d" % diagram.n)
+    cells = diagram._cells
+    masks = map(int.__and__, _suffix_unions(diagram, blocks), cells)
+    t = EWTableau(diagram, list(map(_row_string, masks, diagram.parts)))
+    if t._masks[0] != cells[0] or any(map(int.__eq__, t._masks[1:], cells[1:])):
+        ensure_valid(t)  # which refuses it too, and names the first problem
+    return t
 
 
 def from_minimal_config(diagram, heights):
@@ -286,7 +330,7 @@ def supplementary(t):
     """Build the supplementary grid from the canonical toppling blocks."""
     d = t.diagram
     grid = _suffix_unions(d, t._blocks)
-    return Supplementary(d, [_entries(g, d.parts[0]) for g in grid])
+    return Supplementary(d, [map(int, _row_string(g, d.parts[0])) for g in grid])
 
 
 def supplementary_entry(t, i, j):

@@ -368,6 +368,35 @@ def test_convert_rejects_numbers_as_tableau_rows(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, what, text", [
+    (["graph", "--shape", "3,2,"], "shape", "3,2,"),
+    (["graph", "--shape", "3,,2"], "shape", "3,,2"),
+    (["graph", "--shape", ",3"], "shape", ",3"),
+    (["stabilize", "--shape", "3,2", "--heights", "0,,1,0"], "heights", "0,,1,0"),
+    (["convert", "--from", "config", "--to", "perm", "--shape", "3,2",
+      "--data", "0,1,1,1,"], "heights", "0,1,1,1,"),
+    (["convert", "--from", "tableau", "--to", "perm", "--data", "111/01/0^0,0,,0,0"],
+     "decorations", "0,0,,0,0"),
+    (["convert", "--from", "tableau", "--to", "perm", "--data", "111\n01 ^0\n0 ^0\n^ 0,,0"],
+     "column decorations", " 0,,0"),
+    (["convert", "--from", "perm", "--to", "perm", "--data", "1,,2 3"],
+     "permutation", "1,,2 3"),
+])
+def test_empty_number_fields_are_refused(capsys, argv, what, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: cannot read %s from %r\n" % (what, text))
+
+
+def test_whitespace_separators_and_empty_number_text_are_read(capsys):
+    code, out, _ = run(capsys, "graph", "--shape", " 3, 2 ")
+    assert code == 0 and out.startswith("shape: 3,2\n")
+    code, out, _ = run(capsys, "convert", "--from", "perm", "--to", "perm", "--data", "1, 3 2")
+    assert (code, out) == (0, "132\n")
+    code, out, err = run(capsys, "convert", "--from", "tableau", "--to", "perm",
+                         "--data", "111/01/0^")
+    assert (code, out, err) == (2, "", "error: expected 5 decorations, got 0\n")
+
+
 def striped_filling(width):
     """Rows of a width x width filling: 1s on top, then rows alternating
     0101... and 1010..., so that nearly every pair of lower rows and

@@ -8,6 +8,7 @@ import pytest
 from ewtab.diagrams import FerrersDiagram
 from ewtab.errors import FormatError
 from ewtab import serialize
+from ewtab.cli import main
 from ewtab.tableaux import EWTableau
 
 
@@ -110,7 +111,7 @@ def test_tableau_json_round_trip(t5332):
     assert (t, deco) == (t5332, (0, 0, 1, 0, 0, 0, 0, 2))
 
 
-def test_tableau_rejects_bad_text():
+def test_tableau_rejects_bad_text(capsys):
     with pytest.raises(FormatError):
         serialize.parse_tableau("11x1/01")
     with pytest.raises(FormatError):
@@ -118,6 +119,23 @@ def test_tableau_rejects_bad_text():
     # widths must not increase downward
     with pytest.raises(FormatError):
         serialize.parse_tableau("11/111")
+    # Rows that int(text, 2) would read, and other digits: every form
+    # refuses them before any mask is read. The pretty form strips each
+    # line and skips blank ones, so a padded or an empty row is refused
+    # only by the other two.
+    for row in ["1_0", "+1", "1 0", "1\u00b2", "1\u0663", "1\x000", " 10", ""]:
+        forms = [json.dumps({"rows": ["11", row]}), "11/" + row]
+        if row and row.strip() == row:
+            forms.append("11\n%s\n" % row)
+        for data in forms:
+            with pytest.raises(FormatError) as e:
+                serialize.parse_tableau(data)
+            assert str(e.value) == "%r is not a row of 0s and 1s" % row
+            code = main(["convert", "--from", "tableau", "--to", "perm", "--data", data])
+            assert (code, *capsys.readouterr()) == (
+                2, "", "error: %r is not a row of 0s and 1s\n" % row), data
+    t, _ = serialize.parse_tableau("11\n 10 \n\n")
+    assert t.row_strings() == ("11", "10")
 
 
 def test_perm_bare_word():

@@ -126,6 +126,17 @@ def test_constructor_checks_shape(d5332):
         EWTableau(d5332, ((1, 1, 1, 1, 1), (0, 1, 0), (0, 1, 1)))
 
 
+def test_constructor_reads_rows_as_strings_or_ints(t_ex, d5332):
+    assert EWTableau(d5332, ["11111", "010", "011", "01"]) == t_ex
+    assert EWTableau(d5332, [[1, 1, 1, 1, True], (0, 1, 0), "011", (0, 1)]) == t_ex
+    assert t_ex.rows == ((1, 1, 1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 1))
+    d = FerrersDiagram((3,))
+    # int(text, 2) reads each of these; the constructor refuses them first
+    for row in ["1_0", "+10", " 10", "1\u00b20", "1\u06630", "10\x00", (1, 0, 2), (1, 0, -1)]:
+        with pytest.raises(DomainError, match="^entries must be 0 or 1$"):
+            EWTableau(d, [row])
+
+
 def test_entry_by_labels(t_ex, d5332):
     # row 3 is the second row; columns run 8,7,5 left to right there
     assert t_ex.entry(3, 8) == 0
@@ -674,25 +685,104 @@ def test_layer_matches_reference_on_random_words(n):
 
 
 def test_validate_runs_once_per_tableau(monkeypatch, d5332):
-    check = tableaux._violations
-    calls = []
+    # The toppling scan decides, once per tableau; the rules run only to
+    # name the problem of a refused filling, once per refusal.
+    scan, check = tableaux._toppling_scan, tableaux._violations
+    scans, calls = [], []
+
+    def counting_scan(t):
+        scans.append(t)
+        return scan(t)
 
     def counting_validate(t):
         calls.append(t)
         return check(t)
 
+    monkeypatch.setattr(tableaux, "_toppling_scan", counting_scan)
     monkeypatch.setattr(tableaux, "_violations", counting_validate)
     c = (0, 0, 2, 1, 0, 0, 3, 2)
     t, deco = tableaux.decorated_from_config(d5332, c)
-    assert calls == [t]
+    assert (scans, calls) == ([], [])
     for _ in range(5):
         assert tableaux.config_from_decorated(t, deco) == c
-        tableaux.ensure_valid(t)
-    assert calls == [t]
+        assert tableaux.ensure_valid(t) is t
+        assert tableaux.validate(t) == []
+    assert (scans, calls) == ([t], [])
     fresh = EWTableau(d5332, t.rows)
     for _ in range(5):
         assert tableaux.config_from_decorated(fresh, deco) == c
-    assert calls == [t, fresh]
+    assert (scans, calls) == ([t, fresh], [])
+    bad = EWTableau(d5332, ("11111", "101", "010", "00"))
+    for k in range(1, 4):
+        with pytest.raises(DomainError, match="rectangle"):
+            tableaux.ensure_valid(bad)
+        assert calls == [bad] * k
+    assert tableaux.validate(bad) == reference_validate(bad)
+    assert calls == [bad] * 4
+
+
+def test_refusal_without_a_problem_is_a_self_check_error(monkeypatch, d5332):
+    monkeypatch.setattr(tableaux, "_violations", lambda t: iter(()))
+    bad = EWTableau(d5332, ("11111", "101", "010", "00"))
+    with pytest.raises(RuntimeError, match="breaks no EW rule"):
+        tableaux.ensure_valid(bad)
+
+
+def ordered_partitions(d, alternating):
+    """Every ordered partition of the labels 0..n of d into nonempty sorted
+    blocks; the alternating ones hold only rows or only columns per block,
+    the two kinds taking turns."""
+    def extend(left, last):
+        if not left:
+            yield ()
+        for kind in (True, False) if alternating else (None,):
+            if alternating and kind == last:
+                continue
+            pool = [v for v in left if kind is None or d.is_row(v) == kind]
+            for size in range(1, len(pool) + 1):
+                for block in itertools.combinations(pool, size):
+                    rest = [v for v in left if v not in block]
+                    for tail in extend(rest, kind):
+                        yield (block,) + tail
+
+    return extend(list(range(d.n + 1)), None)
+
+
+@pytest.mark.parametrize("alternating, largest", [(False, 5), (True, 7)],
+                         ids=["every-partition", "alternating"])
+def test_from_blocks_breaks_only_the_row_rules(alternating, largest):
+    # No ordered partition gives a bad rectangle, so from_blocks refuses
+    # exactly the fillings that break top-row-ones or row-has-zero, and
+    # names the first of them.
+    count = refused = 0
+    for m in range(2, largest + 1):
+        for d in enumerate_diagrams(m):
+            for blocks in ordered_partitions(d, alternating):
+                rows, problems = reference_from_blocks(d, blocks)
+                assert all(p["rule"] != "rectangle" for p in problems), blocks
+                count += 1
+                if problems:
+                    refused += 1
+                    with pytest.raises(DomainError) as e:
+                        tableaux.from_blocks(d, blocks)
+                    assert str(e.value) == "not an EW-tableau: %r" % (problems[0],)
+                    continue
+                t = tableaux.from_blocks(d, blocks)
+                assert t.rows == rows and t._masks == tuple(map(reference_mask, rows))
+                assert tableaux.validate(t) == []
+                assert tableaux.canonical_toppling(t) == reference_toppling_scan(t)
+    assert 0 < refused < count
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0,), (1, 3, 5)),  # row 2 is missing
+    ((0,), (2, 4, 5), (1, 3), (9,)),  # 9 is not a label
+    ((0,), (2, 4, 5), (1, 3), (1,)),  # 1 comes twice
+    ((0,), (2, 4, 5), (1, 3, "x")),
+])
+def test_from_blocks_refuses_a_non_partition(d321, blocks):
+    with pytest.raises(DomainError, match=r"^blocks do not partition the labels 0\.\.5$"):
+        tableaux.from_blocks(d321, blocks)
 
 
 def test_tableau_route_at_n_2000_within_its_budget():
