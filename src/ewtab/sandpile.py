@@ -5,9 +5,10 @@ Configurations assign a non-negative grain count to every non-sink vertex
 (the top row) is the sink: it has no height and absorbs grain.
 
 A vertex is unstable when its height reaches its degree; toppling sends one
-grain along every incident edge. Stabilization topples until stable, and the
-result does not depend on the order (the model is abelian); the implementation
-always picks the smallest unstable vertex so runs are reproducible.
+grain along every incident edge. Stabilization topples until stable. The
+model is abelian: the stable result and each vertex's topple count do not
+depend on the order of the topples (Dhar, PRL 64, 1990), so stabilization
+promises those two and no order.
 
 A stable configuration is recurrent when toppling the sink starts an avalanche
 in which every vertex topples exactly once, returning to the start (the
@@ -15,8 +16,6 @@ burning test). Canonical toppling refines this: after the sink, all currently
 unstable vertices are toppled together as one block, and the resulting ordered
 partition of 0..n is what the tableau and permutation encodings are built on.
 """
-
-import heapq
 
 from .errors import DomainError
 
@@ -75,14 +74,23 @@ def topple(diagram, heights, v):
 
 
 def stabilize(diagram, heights):
-    """Topple unstable vertices (smallest first) until none remain.
+    """Topple unstable vertices until none remain.
 
-    The unstable vertices wait in a heap. The smallest one topples once and
-    leaves the heap only when that makes it stable; a neighbour joins when
-    its height reaches exactly its degree. So the heap always holds exactly
-    the unstable vertices, each topple costs its degree plus O(log n), and
-    the topples come in the same smallest-first order as a rescan from
-    vertex 1 after each one.
+    The unstable vertices wait in a plain list, which the loop reads from
+    the front while vertices join at the back; no topple order is
+    promised. A vertex read from it topples q = h // deg times at once,
+    which is legal because incoming grains only add: a vertex holding
+    q * deg grains can topple q times whatever else topples. A neighbour
+    joins when that carries it from below its degree to at least its
+    degree. So the vertices not yet read are exactly the unstable ones,
+    each once, and every vertex read leaves stable.
+
+    Read first in, first out, the reads grew with the number of digits of
+    the heights rather than with the heights in every case measured:
+    10**20 grains on one vertex of staircase 32 take 43,427 reads. Read
+    last in, first out (a stack), grain shuttled between neighbours and
+    the reads grew about as fast as the heights. The list keeps one entry
+    per read, so its size is bounded by the work done.
 
     Heights are kept by label, with a slot at 0 that soaks up the sink's
     grain, and the sink gets degree -1, which its slot never reaches: a
@@ -90,7 +98,8 @@ def stabilize(diagram, heights):
     shift.
 
     Returns (stable_heights, topple_counts) where topple_counts maps every
-    vertex 1..n to how many times it toppled.
+    vertex 1..n to how many times it toppled. The model is abelian, so
+    both are those of any order of single topples.
     """
     heights = [0, *_check_config(diagram, heights)]
     n = diagram.n
@@ -98,16 +107,14 @@ def stabilize(diagram, heights):
     neighbors = diagram._neighbors_of
     counts = [0] * (n + 1)
     unstable = [v for v in range(1, n + 1) if heights[v] >= degs[v]]
-    while unstable:  # a sorted list is already a heap
-        v = unstable[0]
-        heights[v] -= degs[v]
-        counts[v] += 1
-        if heights[v] < degs[v]:
-            heapq.heappop(unstable)
+    for v in unstable:  # which also reaches the vertices appended below
+        q, heights[v] = divmod(heights[v], degs[v])
+        counts[v] += q
         for u in neighbors[v]:
-            heights[u] += 1
-            if heights[u] == degs[u]:
-                heapq.heappush(unstable, u)
+            h = heights[u]
+            heights[u] = h + q
+            if h < degs[u] <= h + q:
+                unstable.append(u)
     return tuple(heights[1:]), dict(zip(range(1, n + 1), counts[1:]))
 
 

@@ -61,19 +61,30 @@ def _int_list(values, what):
     return values
 
 
+def _number(tok, sign=True):
+    """Read one text number: every text number is read here. It is int(tok),
+    but a token that is not ASCII or that holds "_" raises ValueError, as
+    int() does on other bad text; int() alone would read "1_0" as 10 and
+    "٣" or "０" as digits. Surrounding whitespace and a leading + or - are
+    read as int() reads them; with sign false, a sign is refused too."""
+    if not tok.isascii() or "_" in tok or not sign and tok[:1] in "+-":
+        raise ValueError("not an ASCII decimal number: %r" % tok)
+    return int(tok)
+
+
 def _split_ints(text, what):
     """The integers of text, separated by commas or whitespace. A field
     between commas that holds no number reads as "", which int() refuses."""
     fields = text.split(",") if text.strip() else []
     try:
-        return [int(tok) for field in fields for tok in field.split() or [""]]
+        return [_number(tok) for field in fields for tok in field.split() or [""]]
     except ValueError:
         raise FormatError("cannot read %s from %r" % (what, text)) from None
 
 
 def _int(text, what):
     try:
-        return int(text)
+        return _number(text)
     except ValueError:
         raise FormatError("cannot read %s from %r" % (what, text)) from None
 
@@ -272,9 +283,10 @@ def parse_perm(data):
         return _parse_perm_blocks(text)
     tokens = text.split()
     if len(tokens) == 1:
-        if not tokens[0].isdecimal():
-            raise FormatError("%r is not a permutation word" % text)
-        word = tuple(int(ch) for ch in tokens[0])
+        try:  # one letter per character, so no sign
+            word = tuple(map(_number, tokens[0]))
+        except ValueError:
+            raise FormatError("%r is not a permutation word" % text) from None
     else:
         word = tuple(_split_ints(text, "permutation"))
     _build(permutations.run_blocks, word)
@@ -290,10 +302,11 @@ def _parse_perm_blocks(text):
     for g in groups:
         block = []
         for tok in g.split():
-            letter, caret, deco = tok.partition("^")
-            if not caret or not letter.isdecimal() or not deco.isdecimal():
-                raise FormatError("bad decorated letter %r" % tok)
-            block.append((int(letter), int(deco)))
+            letter, _, deco = tok.partition("^")
+            try:  # with no caret, deco is "", which int() refuses
+                block.append((_number(letter, False), _number(deco, False)))
+            except ValueError:
+                raise FormatError("bad decorated letter %r" % tok) from None
         word.extend(x for x, _ in block)
         pairs.append(block)
     word = tuple(word)
@@ -346,7 +359,7 @@ def parse_tree(data):
     if not tokens or tokens[0] != ".":
         raise FormatError("tree text must start with '.' for the root")
     try:
-        rest = tuple(int(tok) for tok in tokens[1:])
+        rest = tuple(map(_number, tokens[1:]))
     except ValueError:
         raise FormatError("parents must be integers") from None
     return (None,) + rest

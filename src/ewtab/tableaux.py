@@ -14,6 +14,7 @@ restriction to the shape is the tableau itself.
 """
 
 from functools import cached_property
+from itertools import zip_longest
 
 from .errors import DomainError
 from . import sandpile
@@ -198,18 +199,9 @@ def minimal_config(t):
     for label, m in zip(d.row_labels, t._masks):
         if label:
             out[label - 1] = m.bit_count()
-    for label, ones in zip(d.col_labels, _column_counts(t._masks, d.parts[0])):
-        out[label - 1] = d.degrees[label - 1] - ones
+    for label, col in zip(d.col_labels, zip_longest(*t.row_strings(), fillvalue="")):
+        out[label - 1] = d.degrees[label - 1] - col.count("1")
     return tuple(out)
-
-
-def _column_counts(masks, width):
-    """Per column position x < width, how many of the masks have bit x."""
-    counts = [0] * width
-    for m in masks:
-        for x in _bits(m):
-            counts[x] += 1
-    return counts
 
 
 def _suffix_unions(diagram, blocks):
@@ -295,6 +287,8 @@ def _toppling_scan(t):
             todo_cols ^= ready_cols
         if not ready_rows and not ready_cols:
             raise DomainError("not an EW-tableau: toppling scan stalls")
+    if 0 not in blocks[0]:  # the top row is all 1s exactly when 0 is
+        raise DomainError("not an EW-tableau: the top row holds a 0")
     if blocks[0] != (0,):
         raise DomainError("not an EW-tableau: a non-top row starts all 1s")
     return tuple(blocks)

@@ -387,6 +387,51 @@ def test_empty_number_fields_are_refused(capsys, argv, what, text):
     assert (code, out, err) == (2, "", "error: cannot read %s from %r\n" % (what, text))
 
 
+@pytest.mark.parametrize("argv, text", [
+    # _split_ints, on each of its readers
+    (["graph", "--shape", "3,1_0"], "cannot read shape from '3,1_0'"),
+    (["stabilize", "--shape", "3,2", "--heights", "0,1_0,0,2"],
+     "cannot read heights from '0,1_0,0,2'"),
+    (["stabilize", "--shape", "3,2", "--heights", "0,١,0,2"],
+     "cannot read heights from '0,١,0,2'"),
+    (["convert", "--from", "tableau", "--to", "perm", "--data", "111/01/0^0,0,0,0,٠"],
+     "cannot read decorations from '0,0,0,0,٠'"),
+    (["convert", "--from", "perm", "--to", "perm", "--data", "1 ３ 2"],
+     "cannot read permutation from '1 ３ 2'"),
+    # _int, on a pretty row decoration
+    (["convert", "--from", "tableau", "--to", "perm", "--data", "111\n01 ^0_0\n0 ^0\n^ 0 0 0"],
+     "cannot read row decoration from '0_0'"),
+    # parse_tree
+    (["convert", "--from", "tree", "--to", "perm", "--data", ".,０,1"],
+     "parents must be integers"),
+    (["convert", "--from", "tree", "--to", "perm", "--data", ".,0,1_0"],
+     "parents must be integers"),
+    # the bare word of parse_perm
+    (["convert", "--from", "perm", "--to", "config", "--data", "٣12"],
+     "'٣12' is not a permutation word"),
+    # _parse_perm_blocks
+    (["convert", "--from", "perm", "--to", "config", "--data", "٣^0 1^0 - 2^0"],
+     "bad decorated letter '٣^0'"),
+    (["convert", "--from", "perm", "--to", "config", "--data", "3^0 1^٠ - 2^0"],
+     "bad decorated letter '1^٠'"),
+])
+def test_text_numbers_are_ascii_decimal(capsys, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % text)
+
+
+def test_text_numbers_keep_their_signs_and_spaces(capsys):
+    code, out, _ = run(capsys, "stabilize", "--shape", "3,2", "--heights", "+0, 1 ,0,+1")
+    assert (code, out) == (0, "heights: 0,1,0,1\n")
+    code, out, err = run(capsys, "stabilize", "--shape", "3,2", "--heights", "0,-1,0,2")
+    assert (code, out) == (3, "") and "must be non-negative" in err
+    code, out, _ = run(capsys, "convert", "--from", "tree", "--to", "perm", "--data", ". , +2 , 0")
+    assert (code, out) == (0, "21\n")
+    code, out, err = run(capsys, "convert", "--from", "perm", "--to", "perm",
+                         "--data", "3^0 +1^0 - 2^0")
+    assert (code, out, err) == (2, "", "error: bad decorated letter '+1^0'\n")
+
+
 def test_whitespace_separators_and_empty_number_text_are_read(capsys):
     code, out, _ = run(capsys, "graph", "--shape", " 3, 2 ")
     assert code == 0 and out.startswith("shape: 3,2\n")

@@ -1,6 +1,7 @@
 """Graph-side sandpile dynamics: toppling, burning, canonical avalanches."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,44 +62,15 @@ def reference_graph_stabilize(diagram, heights):
             return tuple(heights), counts
 
 
-class LoggedTable(tuple):
-    """A neighbour table that logs every vertex looked up in it."""
-
-    def __getitem__(self, v):
-        self.log.append(v)
-        return super().__getitem__(v)
-
-
-class LoggedDiagram(FerrersDiagram):
-    """A diagram whose neighbour table logs every vertex looked up in it:
-    the stabilizer looks up once per topple, and so does the rescan through
-    neighbors()."""
-
-    def __init__(self, parts):
-        super().__init__(parts)
-        self._neighbors_of = LoggedTable(self._neighbors_of)
-        self.log = []
-
-    @property
-    def log(self):
-        return self._neighbors_of.log
-
-    @log.setter
-    def log(self, log):
-        self._neighbors_of.log = log
-
-
 # The benchmark's shape families: staircases 8, 16, 32 and rectangles 10, 20.
 FAMILIES = [tuple(range(8, 0, -1)), (10,) * 10, tuple(range(16, 0, -1)),
             (20,) * 20, tuple(range(32, 0, -1))]
 
 
 def stabilize_against_reference(parts, heights):
-    d = LoggedDiagram(parts)
+    d = FerrersDiagram(parts)
     expected = reference_graph_stabilize(d, heights)
-    order, d.log = d.log, []
     assert sandpile.stabilize(d, heights) == expected, (parts, heights)
-    assert d.log == order, (parts, heights)
     return expected
 
 
@@ -140,6 +112,77 @@ def test_stabilize_matches_rescan_on_one_heavy_vertex():
     stable, counts = stabilize_against_reference((8,) * 8, heights)
     assert sandpile.is_stable(FerrersDiagram((8,) * 8), stable)
     assert counts[8] > 1_000
+
+
+def odometer_holds(d, start, stable, counts):
+    """The exact odometer identity: each vertex ends with its start, less
+    its degree per topple of its own, plus one per topple of a non-sink
+    neighbour."""
+    return all(
+        stable[v - 1] == start[v - 1] - d.degree(v) * counts[v]
+        + sum(counts[u] for u in d.neighbors(v) if u != 0)
+        for v in range(1, d.n + 1))
+
+
+def test_stabilize_takes_any_height():
+    # one vertex, then every vertex, raised by a burst: on the small shapes
+    # a burst of 10**3 is also checked against the rescan, and the larger
+    # ones everywhere by the odometer identity alone. Every shape takes a
+    # burst before any shape takes a larger one, and each call has its own
+    # time bound, so that a stabilizer whose work grows with the heights
+    # fails at 10**6 instead of running on at 10**20.
+    started = time.perf_counter()
+    small = [d.parts for m in range(2, 7) for d in enumerate_diagrams(m)]
+    checked = 0
+    for burst in (10 ** 3, 10 ** 6, 10 ** 20):
+        for parts in small + FAMILIES:
+            d = FerrersDiagram(parts)
+            base = [g - 1 for g in d.degrees]
+            single = list(base)
+            single[d.n // 2] += burst
+            for start in (single, [h + burst for h in base]):
+                began = time.perf_counter()
+                stable, counts = sandpile.stabilize(d, start)
+                assert time.perf_counter() - began < 0.5, (parts, burst)
+                assert sandpile.is_stable(d, stable), (parts, burst)
+                assert odometer_holds(d, start, stable, counts), (parts, burst)
+                if burst == 10 ** 3 and parts in small:
+                    assert (stable, counts) == reference_graph_stabilize(d, start)
+                checked += 1
+    assert checked == 6 * (len(small) + len(FAMILIES))
+    assert time.perf_counter() - started < 5
+
+
+GROUP_SHAPES = [tuple(range(16, 0, -1)), (16,) * 16, tuple(range(64, 0, -1)),
+                (64,) * 64, (40,) * 10]
+
+
+@pytest.mark.parametrize("parts", GROUP_SHAPES,
+                         ids=["staircase-16", "square-16", "staircase-64",
+                              "square-64", "rectangle-10x40"])
+def test_sandpile_group_laws_past_enumeration(parts):
+    # The recurrent configurations form a group under addition followed by
+    # stabilization (Dhar 1990), with identity stab(2m - stab(2m)) for the
+    # maximal stable m (Holroyd et al. 2008).
+    d = FerrersDiagram(parts)
+
+    def plus(a, b):
+        return sandpile.stabilize(d, [x + y for x, y in zip(a, b)])[0]
+
+    top = [g - 1 for g in d.degrees]
+    twice = [2 * h for h in top]
+    e = sandpile.stabilize(d, [a - b for a, b in zip(twice, plus(top, top))])[0]
+    assert sandpile.is_recurrent(d, e)
+    assert plus(e, e) == e
+    rng = random.Random(d.n)
+    a, b, c = (plus(top, [rng.randrange(g) for g in d.degrees]) for _ in range(3))
+    for x in (a, b, c):
+        assert sandpile.is_recurrent(d, x) and plus(x, e) == x
+    assert plus(plus(a, b), c) == plus(a, plus(b, c))
+    if parts in GROUP_SHAPES[:2]:  # the two 16s: the word route too
+        word, deco = cli._perm_representation(d, [x + y for x, y in zip(a, b)])
+        word2, deco2 = permutations.stabilize(word, deco)[:2]
+        assert permutations.config_from_decorated(word2, deco2) == (d, plus(a, b))
 
 
 def test_burning_order_recurrent(d321):

@@ -85,6 +85,8 @@ def reference_toppling(t):
                     work[i][x] = 1
         if not ready_rows and not ready_cols:
             raise DomainError("not an EW-tableau: toppling scan stalls")
+    if not all(t.rows[0]):
+        raise DomainError("not an EW-tableau: the top row holds a 0")
     if blocks[0] != (0,):
         raise DomainError("not an EW-tableau: a non-top row starts all 1s")
     return tuple(blocks)
@@ -277,6 +279,33 @@ def test_canonical_toppling_matches_list_scan_on_random_fillings():
             t = EWTableau(d, rows)
             assert toppling_or_error(tableaux.canonical_toppling, t) == (
                 toppling_or_error(reference_toppling, t)), (d.parts, rows)
+
+
+FIRST_BLOCK_RULES = {
+    "not an EW-tableau: the top row holds a 0": "top-row-ones",
+    "not an EW-tableau: a non-top row starts all 1s": "row-has-zero",
+}
+
+
+def test_first_block_refusal_names_the_first_violation():
+    # every filling of semiperimeter <= 6 whose scan completes but refuses
+    # its first block
+    named = dict.fromkeys(FIRST_BLOCK_RULES.values(), 0)
+    for m in range(2, 7):
+        for d in enumerate_diagrams(m):
+            starts = list(itertools.accumulate(d.parts, initial=0))
+            for bits in itertools.product("01", repeat=sum(d.parts)):
+                t = EWTableau(d, ["".join(bits[a:b]) for a, b in zip(starts, starts[1:])])
+                text = toppling_or_error(tableaux.canonical_toppling, t)
+                if text in FIRST_BLOCK_RULES:
+                    rule = tableaux.validate(t)[0]["rule"]
+                    assert FIRST_BLOCK_RULES[text] == rule, t
+                    named[rule] += 1
+    assert all(named.values()), named
+    assert toppling_or_error(permutations.from_tableau, tab((2,), "10")) == (
+        "not an EW-tableau: the top row holds a 0")
+    assert toppling_or_error(permutations.from_tableau, tab((3, 2), "110", "01")) == (
+        "not an EW-tableau: the top row holds a 0")
 
 
 @pytest.mark.parametrize("d", [staircase(32), FerrersDiagram((20,) * 20)],
@@ -561,6 +590,8 @@ def reference_toppling_scan(t):
             todo_cols &= ~sum(1 << x for x in ready_cols)
         if not ready_rows and not ready_cols:
             raise DomainError("not an EW-tableau: toppling scan stalls")
+    if rows[0] != (1 << d.parts[0]) - 1:
+        raise DomainError("not an EW-tableau: the top row holds a 0")
     if blocks[0] != (0,):
         raise DomainError("not an EW-tableau: a non-top row starts all 1s")
     return tuple(blocks)
